@@ -42,15 +42,6 @@ void pin_to_cpu(std::size_t worker_index) {
 
 }  // namespace
 
-bool coordinate_delta_enabled() {
-    const char* env = std::getenv("PRESS_DELTA");
-    if (env == nullptr) return true;
-    std::string value(env);
-    std::transform(value.begin(), value.end(), value.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    return !(value == "0" || value == "off" || value == "false");
-}
-
 bool thread_pinning_enabled() {
     const char* env = std::getenv("PRESS_PIN");
     if (env == nullptr) return false;

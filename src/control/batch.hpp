@@ -78,13 +78,6 @@ using CoordinateScoreFn = std::function<double(
     const CoordinateBatch&, std::size_t state_index, util::Rng&,
     EvalScratch&)>;
 
-/// PRESS_DELTA environment toggle for the incremental coordinate-delta
-/// path: disabled by "0", "off" or "false" (case-insensitive), enabled
-/// otherwise (the default). Delta-on caches the sweep's base response per
-/// coordinate; delta-off recomputes it per candidate — identical bits
-/// either way, so this only trades memory traffic for recompute.
-bool coordinate_delta_enabled();
-
 /// PRESS_PIN environment toggle for worker-thread CPU affinity: enabled
 /// unless unset, empty, "0", "off" or "false" (case-insensitive). Linux
 /// only; elsewhere the toggle parses but pinning is a no-op.

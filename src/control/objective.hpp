@@ -198,7 +198,7 @@ std::unique_ptr<Objective> make_harmonization_objective(
 /// Composite objective over many links sharing one element field: the
 /// combinator described by a MultiLinkSpec, usable both through the
 /// general Observation path (score) and — via multilink_spec() — the
-/// fused zero-alloc path of System::optimize_multilink.
+/// fused zero-alloc path of System::optimize_fast.
 class MultiLinkObjective : public Objective {
 public:
     explicit MultiLinkObjective(MultiLinkSpec spec,

@@ -24,7 +24,7 @@ namespace press::control {
 struct EvalScratch {
     /// Candidate response accumulator (split-complex).
     util::kernels::SplitVec h;
-    /// Raw LTF sounding draws, [repeats x num_sc] row-major.
+    /// Raw LTF sounding draws, [repeats x scored tones] row-major.
     std::vector<double> raw_re;
     std::vector<double> raw_im;
     /// Combined estimate and per-subcarrier noise variance / SNR.
@@ -32,9 +32,10 @@ struct EvalScratch {
     std::vector<double> mean_im;
     std::vector<double> noise_var;
     std::vector<double> snr_db;
-    /// Per-group wide response accumulators for multi-link scoring: one
-    /// stacked SplitVec per transmitter group of the shared basis
-    /// (core::MultiLinkCache). Sized once per worker, then reused.
+    /// Per-read response accumulators of cache-backed scoring: one
+    /// SplitVec per segment run a candidate assembles from
+    /// core::MultiLinkCache (one link's segment, or a whole transmitter
+    /// group). Sized once per worker, then reused.
     std::vector<util::kernels::SplitVec> group_h;
     /// Per-term utilities of a composite multi-link objective.
     std::vector<double> term_utility;

@@ -1,246 +1,56 @@
 #include "core/link_cache.hpp"
 
-#include <algorithm>
+#include <span>
 
-#include "em/channel.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/contracts.hpp"
 
 namespace press::core {
 
-namespace {
-
-// Mirrors the cache's own atomic counters into the global registry so an
-// export sees them without holding a LinkCache pointer. Called on the cold
-// paths only (rebuilds, invalidations) plus note-batch folds via System.
-void mirror_miss() {
-    if (!obs::enabled()) return;
-    static obs::Counter& misses =
-        obs::MetricsRegistry::global().counter("core.link_cache.misses");
-    misses.add();
+const MultiLinkCache& LinkCache::current_entry(const sdr::Medium& medium,
+                                               std::size_t link_id,
+                                               const sdr::Link& link) const {
+    PRESS_EXPECTS(link_id < entries_.size(), "link has no cache entry");
+    const MultiLinkCache& entry = entries_[link_id];
+    PRESS_EXPECTS(entry.current(medium, std::span(&link, 1)),
+                  "cache entry is stale; call warm() before batch reads");
+    return entry;
 }
 
-void mirror_hits(std::uint64_t n) {
-    if (!obs::enabled()) return;
-    static obs::Counter& hits =
-        obs::MetricsRegistry::global().counter("core.link_cache.hits");
-    hits.add(n);
-}
-
-}  // namespace
-
-LinkCache::Fingerprint LinkCache::link_fingerprint(const sdr::Link& link) {
-    Fingerprint fp{};
-    std::size_t i = 0;
-    const auto antenna_facets = [&fp, &i](const em::Antenna& a) {
-        fp[i++] = a.peak_gain_dbi();
-        fp[i++] = a.is_omni() ? 1.0 : 0.0;
-        fp[i++] = a.beamwidth_rad();
-        fp[i++] = a.boresight().x;
-        fp[i++] = a.boresight().y;
-        fp[i++] = a.boresight().z;
-    };
-    fp[i++] = link.tx.position.x;
-    fp[i++] = link.tx.position.y;
-    fp[i++] = link.tx.position.z;
-    fp[i++] = link.rx.position.x;
-    fp[i++] = link.rx.position.y;
-    fp[i++] = link.rx.position.z;
-    antenna_facets(link.tx.antenna);
-    antenna_facets(link.rx.antenna);
-    return fp;
-}
-
-bool LinkCache::current(const sdr::Medium& medium, const Entry& entry,
-                        const sdr::Link& link) const {
-    if (!entry.valid) return false;
-    if (entry.env_revision != medium.environment().revision()) return false;
-    if (entry.arrays.size() != medium.num_arrays()) return false;
-    for (std::size_t a = 0; a < entry.arrays.size(); ++a) {
-        if (entry.arrays[a].structure_revision !=
-            medium.array(a).structure_revision())
-            return false;
-    }
-    return entry.fingerprint == link_fingerprint(link);
-}
-
-void LinkCache::rebuild(const sdr::Medium& medium, Entry& entry,
-                        const sdr::Link& link) {
-    obs::TraceSpan span("core.link_cache.rebuild");
-    const std::vector<double>& freqs = medium.ofdm().used_frequencies_hz();
-    const std::size_t num_sc = freqs.size();
-    const double carrier_hz = medium.ofdm().carrier_hz();
-
-    const util::CVec h_static = em::frequency_response(
-        medium.environment_paths(link), freqs);
-    entry.h_static.resize(num_sc);
-    util::kernels::deinterleave(h_static.data(), entry.h_static.re.data(),
-                                entry.h_static.im.data(), num_sc);
-    entry.arrays.clear();
-    entry.arrays.reserve(medium.num_arrays());
-    for (std::size_t a = 0; a < medium.num_arrays(); ++a) {
-        const surface::Array& array = medium.array(a);
-        ArrayBasis basis;
-        basis.structure_revision = array.structure_revision();
-        basis.radices.reserve(array.size());
-        basis.row_offset.reserve(array.size());
-        const std::vector<std::vector<em::Path>> per_state =
-            array.state_paths(medium.environment(), link.tx, link.rx,
-                              carrier_hz);
-        std::size_t rows = 0;
-        for (const auto& states : per_state) rows += states.size();
-        basis.num_sc = num_sc;
-        // Pad each component segment to a whole number of kernel lanes so
-        // every row block starts lane-aligned; padding doubles stay zero
-        // and are never read by the length-exact kernels.
-        constexpr std::size_t kLanes = util::kernels::kLanes;
-        basis.row_stride = (num_sc + kLanes - 1) / kLanes * kLanes;
-        basis.table.assign(rows * 2 * basis.row_stride, 0.0);
-        std::size_t row = 0;
-        for (const auto& states : per_state) {
-            basis.radices.push_back(static_cast<int>(states.size()));
-            basis.row_offset.push_back(row);
-            for (const em::Path& p : states) {
-                util::CVec response(num_sc, util::cd{0.0, 0.0});
-                em::accumulate_frequency_response(response, {p}, freqs);
-                util::kernels::deinterleave(response.data(),
-                                            basis.row_re(row),
-                                            basis.row_im(row), num_sc);
-                ++row;
-            }
-        }
-        entry.arrays.push_back(std::move(basis));
-    }
-    entry.env_revision = medium.environment().revision();
-    entry.fingerprint = link_fingerprint(link);
-    entry.valid = true;
-}
-
-void LinkCache::add_rows(util::kernels::SplitVec& h, const ArrayBasis& basis,
-                         const surface::Config& config,
-                         std::size_t skip_element) {
-    const util::kernels::IndexRange full{0, h.size()};
-    add_rows_ranges(h, basis, config, &full, 1, skip_element);
-}
-
-void LinkCache::add_rows_ranges(util::kernels::SplitVec& h,
-                                const ArrayBasis& basis,
-                                const surface::Config& config,
-                                const util::kernels::IndexRange* ranges,
-                                std::size_t num_ranges,
-                                std::size_t skip_element) {
-    PRESS_EXPECTS(config.size() == basis.radices.size(),
-                  "configuration arity must match the cached array");
-    for (std::size_t e = 0; e < config.size(); ++e) {
-        if (e == skip_element) continue;
-        PRESS_EXPECTS(config[e] >= 0 && config[e] < basis.radices[e],
-                      "configuration state out of the cached range");
-    }
-    const util::kernels::Dispatch d = util::kernels::active();
-    // Tile over subcarrier blocks of each span with the element walk
-    // innermost: the scratch tile stays L1-resident while the selected
-    // rows stream past. Each subcarrier still receives its element terms
-    // in ascending element order, so neither the tiling nor the span
-    // bounding changes the bits of any touched subcarrier.
-    for (std::size_t ri = 0; ri < num_ranges; ++ri) {
-        const std::size_t end = ranges[ri].offset + ranges[ri].len;
-        PRESS_EXPECTS(end <= h.size(), "span exceeds the response width");
-        for (std::size_t sc = ranges[ri].offset; sc < end;
-             sc += kTileSubcarriers) {
-            const std::size_t len = std::min(kTileSubcarriers, end - sc);
-            double* tile_re = h.re.data() + sc;
-            double* tile_im = h.im.data() + sc;
-            for (std::size_t e = 0; e < config.size(); ++e) {
-                if (e == skip_element) continue;
-                const std::size_t row =
-                    basis.row_offset[e] +
-                    static_cast<std::size_t>(config[e]);
-                util::kernels::accumulate(d, basis.row_re(row) + sc,
-                                          basis.row_im(row) + sc, tile_re,
-                                          tile_im, len);
-            }
-        }
-    }
-}
-
-void LinkCache::note_batch_hits(std::uint64_t n) {
-    hits_.fetch_add(n, std::memory_order_relaxed);
-    mirror_hits(n);
+const MultiLinkCache& LinkCache::warm_entry(std::size_t link_id) const {
+    PRESS_EXPECTS(link_id < entries_.size(), "link has no cache entry");
+    PRESS_EXPECTS(entries_[link_id].warmed(),
+                  "cache entry is cold; call warm() first");
+    return entries_[link_id];
 }
 
 void LinkCache::warm(const sdr::Medium& medium, std::size_t link_id,
                      const sdr::Link& link) {
     if (entries_.size() <= link_id) entries_.resize(link_id + 1);
-    Entry& entry = entries_[link_id];
-    if (!current(medium, entry, link)) {
-        rebuild(medium, entry, link);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        mirror_miss();
-    }
+    if (entries_[link_id].warm(medium, std::span(&link, 1)))
+        counters_.add_miss();
 }
 
-util::CVec LinkCache::response(const sdr::Medium& medium,
-                               std::size_t link_id, const sdr::Link& link) {
-    if (entries_.size() <= link_id) entries_.resize(link_id + 1);
-    Entry& entry = entries_[link_id];
-    if (current(medium, entry, link)) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        mirror_hits(1);
-    } else {
-        rebuild(medium, entry, link);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        mirror_miss();
-    }
-    util::kernels::SplitVec h;
-    accumulate_response(medium, entry, /*array_id=*/entry.arrays.size(),
-                        surface::Config{}, kNoSkip, h);
-    util::CVec out(h.size());
-    util::kernels::interleave(h.re.data(), h.im.data(), out.data(),
-                              h.size());
-    return out;
+void LinkCache::invalidate() {
+    for (MultiLinkCache& entry : entries_) entry.invalidate();
+    counters_.add_invalidation();
 }
 
-void LinkCache::accumulate_response_ranges(
-    const sdr::Medium& medium, const Entry& entry, std::size_t array_id,
-    const surface::Config& config, std::size_t skip_element,
-    const util::kernels::IndexRange* ranges, std::size_t num_ranges,
-    util::kernels::SplitVec& out) const {
-    const std::size_t num_sc = entry.h_static.size();
-    out.resize(num_sc);
-    const util::kernels::Dispatch d = util::kernels::active();
-    for (std::size_t ri = 0; ri < num_ranges; ++ri) {
-        const std::size_t o = ranges[ri].offset;
-        PRESS_EXPECTS(o + ranges[ri].len <= num_sc,
-                      "span exceeds the cached subcarrier count");
-        util::kernels::copy(d, entry.h_static.re.data() + o,
-                            entry.h_static.im.data() + o, out.re.data() + o,
-                            out.im.data() + o, ranges[ri].len);
+void LinkCache::read(const sdr::Medium& medium, std::size_t link_id,
+                     const sdr::Link& link, std::size_t array_id,
+                     const surface::Config& config, std::size_t skip_element,
+                     const util::kernels::IndexRange* ranges,
+                     std::size_t num_ranges,
+                     util::kernels::SplitVec& out) const {
+    const MultiLinkCache& entry = current_entry(medium, link_id, link);
+    PRESS_EXPECTS(array_id < medium.num_arrays(),
+                  "array id out of the cached range");
+    const util::kernels::IndexRange full{0, entry.num_sc()};
+    if (ranges == nullptr) {
+        ranges = &full;
+        num_ranges = 1;
     }
-    for (std::size_t a = 0; a < entry.arrays.size(); ++a) {
-        // Branch instead of a ternary: a `ref : prvalue` conditional's
-        // common type is a prvalue, which would copy (allocate) `config`
-        // on every read of the candidate's own array.
-        if (a == array_id) {
-            add_rows_ranges(out, entry.arrays[a], config, ranges,
-                            num_ranges, skip_element);
-        } else {
-            add_rows_ranges(out, entry.arrays[a],
-                            medium.array(a).current_config(), ranges,
-                            num_ranges, kNoSkip);
-        }
-    }
-}
-
-void LinkCache::accumulate_response(const sdr::Medium& medium,
-                                    const Entry& entry,
-                                    std::size_t array_id,
-                                    const surface::Config& config,
-                                    std::size_t skip_element,
-                                    util::kernels::SplitVec& out) const {
-    const util::kernels::IndexRange full{0, entry.h_static.size()};
-    accumulate_response_ranges(medium, entry, array_id, config,
-                               skip_element, &full, 1, out);
+    entry.response_into(medium, entry.link_segment(0), array_id,
+                        config, skip_element, ranges, num_ranges, out);
 }
 
 util::CVec LinkCache::response_with(const sdr::Medium& medium,
@@ -261,13 +71,8 @@ void LinkCache::response_into(const sdr::Medium& medium,
                               std::size_t array_id,
                               const surface::Config& config,
                               util::kernels::SplitVec& out) const {
-    PRESS_EXPECTS(link_id < entries_.size(), "link has no cache entry");
-    const Entry& entry = entries_[link_id];
-    PRESS_EXPECTS(current(medium, entry, link),
-                  "cache entry is stale; call warm() before batch reads");
-    PRESS_EXPECTS(array_id < entry.arrays.size(),
-                  "array id out of the cached range");
-    accumulate_response(medium, entry, array_id, config, kNoSkip, out);
+    read(medium, link_id, link, array_id, config, MultiLinkCache::kNoSkip,
+         nullptr, 0, out);
 }
 
 void LinkCache::response_base_into(const sdr::Medium& medium,
@@ -277,15 +82,7 @@ void LinkCache::response_base_into(const sdr::Medium& medium,
                                    const surface::Config& config,
                                    std::size_t element,
                                    util::kernels::SplitVec& out) const {
-    PRESS_EXPECTS(link_id < entries_.size(), "link has no cache entry");
-    const Entry& entry = entries_[link_id];
-    PRESS_EXPECTS(current(medium, entry, link),
-                  "cache entry is stale; call warm() before batch reads");
-    PRESS_EXPECTS(array_id < entry.arrays.size(),
-                  "array id out of the cached range");
-    PRESS_EXPECTS(element < entry.arrays[array_id].radices.size(),
-                  "element id out of the cached range");
-    accumulate_response(medium, entry, array_id, config, element, out);
+    read(medium, link_id, link, array_id, config, element, nullptr, 0, out);
 }
 
 void LinkCache::response_ranges_into(const sdr::Medium& medium,
@@ -296,14 +93,8 @@ void LinkCache::response_ranges_into(const sdr::Medium& medium,
                                      const util::kernels::IndexRange* ranges,
                                      std::size_t num_ranges,
                                      util::kernels::SplitVec& out) const {
-    PRESS_EXPECTS(link_id < entries_.size(), "link has no cache entry");
-    const Entry& entry = entries_[link_id];
-    PRESS_EXPECTS(current(medium, entry, link),
-                  "cache entry is stale; call warm() before batch reads");
-    PRESS_EXPECTS(array_id < entry.arrays.size(),
-                  "array id out of the cached range");
-    accumulate_response_ranges(medium, entry, array_id, config, kNoSkip,
-                               ranges, num_ranges, out);
+    read(medium, link_id, link, array_id, config, MultiLinkCache::kNoSkip,
+         ranges, num_ranges, out);
 }
 
 void LinkCache::response_base_ranges_into(
@@ -311,91 +102,26 @@ void LinkCache::response_base_ranges_into(
     std::size_t array_id, const surface::Config& config, std::size_t element,
     const util::kernels::IndexRange* ranges, std::size_t num_ranges,
     util::kernels::SplitVec& out) const {
-    PRESS_EXPECTS(link_id < entries_.size(), "link has no cache entry");
-    const Entry& entry = entries_[link_id];
-    PRESS_EXPECTS(current(medium, entry, link),
-                  "cache entry is stale; call warm() before batch reads");
-    PRESS_EXPECTS(array_id < entry.arrays.size(),
-                  "array id out of the cached range");
-    PRESS_EXPECTS(element < entry.arrays[array_id].radices.size(),
-                  "element id out of the cached range");
-    accumulate_response_ranges(medium, entry, array_id, config, element,
-                               ranges, num_ranges, out);
-}
-
-void LinkCache::accumulate_element_row_ranges(
-    std::size_t link_id, std::size_t array_id, std::size_t element,
-    int state, const util::kernels::IndexRange* ranges,
-    std::size_t num_ranges, util::kernels::SplitVec& h) const {
-    PRESS_EXPECTS(link_id < entries_.size(), "link has no cache entry");
-    const Entry& entry = entries_[link_id];
-    PRESS_EXPECTS(array_id < entry.arrays.size(),
-                  "array id out of the cached range");
-    const ArrayBasis& basis = entry.arrays[array_id];
-    PRESS_EXPECTS(element < basis.radices.size(),
-                  "element id out of the cached range");
-    PRESS_EXPECTS(state >= 0 && state < basis.radices[element],
-                  "configuration state out of the cached range");
-    PRESS_EXPECTS(h.size() == entry.h_static.size(),
-                  "scratch does not match the cached subcarrier count");
-    for (std::size_t ri = 0; ri < num_ranges; ++ri)
-        PRESS_EXPECTS(ranges[ri].offset + ranges[ri].len <= h.size(),
-                      "span exceeds the cached subcarrier count");
-    const std::size_t row =
-        basis.row_offset[element] + static_cast<std::size_t>(state);
-    util::kernels::masked_accumulate(util::kernels::active(),
-                                     basis.row_re(row), basis.row_im(row),
-                                     h.re.data(), h.im.data(), ranges,
-                                     num_ranges);
+    read(medium, link_id, link, array_id, config, element, ranges,
+         num_ranges, out);
 }
 
 void LinkCache::accumulate_element_row(std::size_t link_id,
                                        std::size_t array_id,
                                        std::size_t element, int state,
                                        util::kernels::SplitVec& h) const {
-    PRESS_EXPECTS(link_id < entries_.size(), "link has no cache entry");
-    const Entry& entry = entries_[link_id];
-    PRESS_EXPECTS(array_id < entry.arrays.size(),
-                  "array id out of the cached range");
-    const ArrayBasis& basis = entry.arrays[array_id];
-    PRESS_EXPECTS(element < basis.radices.size(),
-                  "element id out of the cached range");
-    PRESS_EXPECTS(state >= 0 && state < basis.radices[element],
-                  "configuration state out of the cached range");
-    const std::size_t num_sc = h.size();
-    PRESS_EXPECTS(num_sc == entry.h_static.size(),
-                  "scratch does not match the cached subcarrier count");
-    const std::size_t row =
-        basis.row_offset[element] + static_cast<std::size_t>(state);
-    util::kernels::accumulate(util::kernels::active(), basis.row_re(row),
-                              basis.row_im(row), h.re.data(), h.im.data(),
-                              num_sc);
+    const MultiLinkCache& entry = warm_entry(link_id);
+    entry.add_row(entry.link_segment(0), array_id, element, state, h);
 }
 
 void LinkCache::element_row_delta(std::size_t link_id, std::size_t array_id,
                                   std::size_t element, int state,
                                   const util::kernels::SplitVec& base,
                                   util::kernels::SplitVec& out) const {
-    PRESS_EXPECTS(link_id < entries_.size(), "link has no cache entry");
-    const Entry& entry = entries_[link_id];
-    PRESS_EXPECTS(array_id < entry.arrays.size(),
-                  "array id out of the cached range");
-    const ArrayBasis& basis = entry.arrays[array_id];
-    PRESS_EXPECTS(element < basis.radices.size(),
-                  "element id out of the cached range");
-    PRESS_EXPECTS(state >= 0 && state < basis.radices[element],
-                  "configuration state out of the cached range");
-    const std::size_t num_sc = entry.h_static.size();
-    PRESS_EXPECTS(base.size() == num_sc,
-                  "base does not match the cached subcarrier count");
-    PRESS_EXPECTS(out.size() == num_sc,
-                  "out must be pre-sized to the cached subcarrier count");
-    const std::size_t row =
-        basis.row_offset[element] + static_cast<std::size_t>(state);
-    util::kernels::copy_accumulate(util::kernels::active(), base.re.data(),
-                                   base.im.data(), basis.row_re(row),
-                                   basis.row_im(row), out.re.data(),
-                                   out.im.data(), num_sc);
+    const MultiLinkCache& entry = warm_entry(link_id);
+    const util::kernels::IndexRange full{0, entry.num_sc()};
+    entry.row_delta(entry.link_segment(0), array_id, element, state,
+                    &full, 1, base, out);
 }
 
 void LinkCache::element_row_delta_ranges(
@@ -403,59 +129,14 @@ void LinkCache::element_row_delta_ranges(
     int state, const util::kernels::IndexRange* ranges,
     std::size_t num_ranges, const util::kernels::SplitVec& base,
     util::kernels::SplitVec& out) const {
-    PRESS_EXPECTS(link_id < entries_.size(), "link has no cache entry");
-    const Entry& entry = entries_[link_id];
-    PRESS_EXPECTS(array_id < entry.arrays.size(),
-                  "array id out of the cached range");
-    const ArrayBasis& basis = entry.arrays[array_id];
-    PRESS_EXPECTS(element < basis.radices.size(),
-                  "element id out of the cached range");
-    PRESS_EXPECTS(state >= 0 && state < basis.radices[element],
-                  "configuration state out of the cached range");
-    const std::size_t num_sc = entry.h_static.size();
-    PRESS_EXPECTS(base.size() == num_sc,
-                  "base does not match the cached subcarrier count");
-    PRESS_EXPECTS(out.size() == num_sc,
-                  "out must be pre-sized to the cached subcarrier count");
-    for (std::size_t ri = 0; ri < num_ranges; ++ri)
-        PRESS_EXPECTS(ranges[ri].offset + ranges[ri].len <= num_sc,
-                      "span exceeds the cached subcarrier count");
-    const std::size_t row =
-        basis.row_offset[element] + static_cast<std::size_t>(state);
-    util::kernels::masked_copy_accumulate(
-        util::kernels::active(), base.re.data(), base.im.data(),
-        basis.row_re(row), basis.row_im(row), out.re.data(), out.im.data(),
-        ranges, num_ranges);
+    const MultiLinkCache& entry = warm_entry(link_id);
+    entry.row_delta(entry.link_segment(0), array_id, element, state,
+                    ranges, num_ranges, base, out);
 }
 
 LinkCache::BasisLayout LinkCache::basis_layout(std::size_t link_id,
                                                std::size_t array_id) const {
-    PRESS_EXPECTS(link_id < entries_.size(), "link has no cache entry");
-    const Entry& entry = entries_[link_id];
-    PRESS_EXPECTS(entry.valid, "cache entry is cold; call warm() first");
-    PRESS_EXPECTS(array_id < entry.arrays.size(),
-                  "array id out of the cached range");
-    const ArrayBasis& basis = entry.arrays[array_id];
-    BasisLayout layout;
-    layout.rows = basis.radices.empty()
-                      ? 0
-                      : basis.row_offset.back() +
-                            static_cast<std::size_t>(basis.radices.back());
-    layout.num_sc = basis.num_sc;
-    layout.row_stride = basis.row_stride;
-    layout.bytes = basis.table.size() * sizeof(double);
-    return layout;
-}
-
-void LinkCache::invalidate() {
-    for (Entry& entry : entries_) entry.valid = false;
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled()) {
-        static obs::Counter& invalidations =
-            obs::MetricsRegistry::global().counter(
-                "core.link_cache.invalidations");
-        invalidations.add();
-    }
+    return warm_entry(link_id).basis_layout(0, array_id);
 }
 
 }  // namespace press::core

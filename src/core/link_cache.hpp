@@ -1,70 +1,18 @@
-// Factored per-link channel cache: the searcher's fast evaluation path.
+// Per-link view of the factored channel basis (core::MultiLinkCache).
 //
-// For a fixed scene geometry, link endpoints and element load banks, the
-// channel of a link decomposes into a configuration-independent part and a
-// per-element basis:
-//
-//     H[k] = H_static[k] + sum_e B[e][ state_e ][k]
-//
-// where H_static is the CFR of the environment paths (direct + wall images
-// + scatterers + static diffuse multipath) and B[e][s] is the CFR of
-// element e's two-hop re-radiation under load state s — both independent
-// of which configuration is applied. Scoring a candidate configuration
-// then costs a row-gather plus a complex accumulation over
-// elements x subcarriers (a sparse complex GEMV) instead of an image-
-// method re-trace of the scene, which is what lets a controller sweep
-// thousands of candidates inside one coherence window.
-//
-// The basis is stored as a blocked split-complex SoA table: each row
-// occupies one contiguous block of 2*row_stride doubles — the re lane
-// segment followed by the im lane segment, with row_stride padded up to a
-// multiple of util::kernels::kLanes. Keeping a row's re and im segments
-// adjacent means a row gather touches ONE forward-striding memory stream
-// (and half the TLB pages) instead of two distant ones, which is what
-// keeps the accumulation bandwidth-bound rather than stride-bound once
-// the table grows to thousands of rows. On top of the row blocking, the
-// candidate accumulation is tiled over fixed-size subcarrier blocks
-// (kTileSubcarriers): for wide numerologies the element loop runs inside
-// each subcarrier tile so the scratch segment stays resident in L1 while
-// thousands of rows stream past it. The accumulation runs through the
-// util::kernels SoA layer, and the hot read path writes into caller-owned
-// scratch (response_into) — zero heap allocations per candidate once the
-// scratch reaches steady-state size.
-// The reconstruction adds the exact same per-path terms in the exact same
-// order as the direct synthesis (environment paths first, then each
-// array's elements in order), so a cached response is bit-identical to
-// em::frequency_response(medium.resolve_paths(link)) — not merely close.
-// The tiling only changes which subcarrier segment is visited when; for
-// any single subcarrier the element addition order is still ascending, so
-// the blocked layout produces the same bits as the flat one (element-wise
-// accumulation has no cross-lane reduction, and the kernels' kLanes
-// blocking handles the reductions that do).
-//
-// Coordinate sweeps get an incremental form: response_base_into() builds
-// the response with ONE element's row left out entirely, and
-// accumulate_element_row() adds a single row on top. A greedy coordinate
-// sweep therefore pays O(1) row-adds per candidate instead of the full
-// O(elements) gather, and because the swept row is always added last —
-// whether the base was cached (delta path) or recomputed per candidate —
-// both paths produce the exact same bits.
-//
-// Invalidation: entries are validated on every access against
-//   - the environment's revision stamp (walls, obstacles, scatterers,
-//     reflection order, static paths),
-//   - each array's structure revision (elements added, loads swapped by
-//     fault injection or trim, element antennas re-pointed),
-//   - a fingerprint of the link endpoints (positions and antennas).
-// Applying configurations changes none of these, so config sweeps hit the
-// cache; fault installation and geometry edits rebuild it. Endpoint
-// velocities are ignored: responses are evaluated at elapsed time zero,
-// where Doppler contributes no rotation.
+// Each entry is a MultiLinkCache warmed with one link — a group of one —
+// so a link's reads here are the same arithmetic, layout and bits as its
+// segment of any multi-link basis. The view adds per-link warming and
+// validation on every read; it has no table layout, rebuild or row
+// accumulation of its own. Benchmarks and tests that time or check one
+// link's cache reads in isolation use it; System owns a single
+// MultiLinkCache over all of its links instead.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "core/multilink_cache.hpp"
 #include "press/config.hpp"
 #include "sdr/medium.hpp"
 #include "util/cvec.hpp"
@@ -74,63 +22,13 @@ namespace press::core {
 
 class LinkCache {
 public:
-    LinkCache() = default;
+    static constexpr std::size_t kTileSubcarriers =
+        MultiLinkCache::kTileSubcarriers;
+    using BasisLayout = MultiLinkCache::BasisLayout;
 
-    // The atomic counters delete the implicit moves, but System (and the
-    // scenarios that return one by value) moves caches around before any
-    // worker thread exists — plain relaxed exchanges suffice. The source's
-    // counters are zeroed so a moved-from cache that is reused starts a
-    // fresh count instead of double-reporting the transferred hits/misses
-    // in telemetry.
-    LinkCache(LinkCache&& other) noexcept
-        : entries_(std::move(other.entries_)),
-          hits_(other.hits_.exchange(0, std::memory_order_relaxed)),
-          misses_(other.misses_.exchange(0, std::memory_order_relaxed)),
-          invalidations_(other.invalidations_.exchange(
-              0, std::memory_order_relaxed)) {}
-    LinkCache& operator=(LinkCache&& other) noexcept {
-        entries_ = std::move(other.entries_);
-        hits_.store(other.hits_.exchange(0, std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-        misses_.store(other.misses_.exchange(0, std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-        invalidations_.store(
-            other.invalidations_.exchange(0, std::memory_order_relaxed),
-            std::memory_order_relaxed);
-        return *this;
-    }
-
-    /// Point-in-time snapshot of the cache counters. Counters are kept in
-    /// relaxed atomics internally so a telemetry export can read them while
-    /// batch workers are folding hits — stats() hands back plain values.
-    struct Stats {
-        std::uint64_t hits = 0;           ///< responses served from a warm basis
-        std::uint64_t misses = 0;         ///< basis (re)builds
-        std::uint64_t invalidations = 0;  ///< explicit invalidate() calls
-    };
-
-    /// Subcarrier-tile width (doubles) of the blocked accumulation: a tile
-    /// of the scratch (2 x 256 doubles = 4 KiB) plus one basis row segment
-    /// fits comfortably in L1 while thousands of rows stream through.
-    static constexpr std::size_t kTileSubcarriers = 256;
-
-    /// Geometry of one array's basis table, for benchmarks and tests that
-    /// want to report (or assert on) the blocked layout.
-    struct BasisLayout {
-        std::size_t rows = 0;        ///< total element-state rows
-        std::size_t num_sc = 0;      ///< used subcarriers per row
-        std::size_t row_stride = 0;  ///< doubles per component, kLanes-padded
-        std::size_t bytes = 0;       ///< table footprint (rows*2*stride*8)
-    };
-
-    /// Layout of the warm entry for (`link_id`, `array_id`). Requires a
-    /// warm entry (same precondition as response_into).
+    /// Layout of the warm entry for (`link_id`, `array_id`): row_stride
+    /// is the entry's padded segment width. Requires a warm entry.
     BasisLayout basis_layout(std::size_t link_id, std::size_t array_id) const;
-
-    /// CFR of `link` on the used subcarriers under every array's currently
-    /// selected states, rebuilding the factored basis if stale.
-    util::CVec response(const sdr::Medium& medium, std::size_t link_id,
-                        const sdr::Link& link);
 
     /// CFR with array `array_id`'s states overridden by `config` (other
     /// arrays stay at their current states). Requires a warm, current
@@ -141,9 +39,7 @@ public:
                              const surface::Config& config) const;
 
     /// The allocation-free form of response_with(): writes the same bits
-    /// into caller-owned scratch, resized to the subcarrier count
-    /// (capacity is retained across calls, so a reused scratch never
-    /// allocates in steady state). Same thread-safety contract.
+    /// into caller-owned scratch, resized to the subcarrier count.
     void response_into(const sdr::Medium& medium, std::size_t link_id,
                        const sdr::Link& link, std::size_t array_id,
                        const surface::Config& config,
@@ -151,11 +47,7 @@ public:
 
     /// Coordinate-sweep base: like response_into(), but element `element`
     /// of array `array_id` contributes NO row at all (its state in
-    /// `config` is ignored). Adding exactly one of that element's rows
-    /// afterwards (accumulate_element_row) yields the sweep's candidate
-    /// response with the swept row added last — the canonical arithmetic
-    /// both the delta-caching and the per-candidate-recompute paths
-    /// reproduce bit-for-bit.
+    /// `config` is ignored).
     void response_base_into(const sdr::Medium& medium, std::size_t link_id,
                             const sdr::Link& link, std::size_t array_id,
                             const surface::Config& config,
@@ -163,36 +55,26 @@ public:
                             util::kernels::SplitVec& out) const;
 
     /// Adds element `element`'s basis row for load state `state` (array
-    /// `array_id`) into `h`. Requires a warm entry (validated by the
-    /// response_base_into() call that produced `h`).
+    /// `array_id`) into `h`. Requires a warm entry.
     void accumulate_element_row(std::size_t link_id, std::size_t array_id,
                                 std::size_t element, int state,
                                 util::kernels::SplitVec& h) const;
 
-    /// Fused coordinate delta: out = base + element `element`'s basis row
-    /// for load state `state`, in ONE pass over out (base untouched) —
+    /// Fused coordinate delta: out = base + the row, in one pass —
     /// bit-identical to copying `base` into `out` and calling
-    /// accumulate_element_row(), at 60% of the memory traffic. `out` must
-    /// already be sized to `base` (resize it once outside the sweep; the
-    /// call itself never allocates) and must not alias `base`.
+    /// accumulate_element_row(). `out` must already be sized to `base`
+    /// and must not alias it.
     void element_row_delta(std::size_t link_id, std::size_t array_id,
                            std::size_t element, int state,
                            const util::kernels::SplitVec& base,
                            util::kernels::SplitVec& out) const;
 
     // Tile-bounded reads (DESIGN.md §15): the same arithmetic restricted
-    // to half-open subcarrier spans. A masked objective only ever reads
-    // the tones inside an RU mask's active spans, so the accumulation can
-    // skip every basis tile the mask never touches. `out` is still
-    // resized to the full subcarrier count, but ONLY the doubles inside
-    // the given spans are written — bit-identical to the full-width call
-    // on those positions (per subcarrier the element addition order is
-    // unchanged); everything outside is left untouched and must not be
-    // read. Spans must be ascending, non-overlapping, and inside
+    // to half-open subcarrier spans (ascending, non-overlapping, inside
     // [0, num_sc) — phy::RuMask::tile_spans(kTileSubcarriers) produces
-    // exactly that.
+    // exactly that). Only the doubles inside the spans are written;
+    // everything outside is left untouched and must not be read.
 
-    /// Tile-bounded response_into(): writes only the given spans.
     void response_ranges_into(const sdr::Medium& medium, std::size_t link_id,
                               const sdr::Link& link, std::size_t array_id,
                               const surface::Config& config,
@@ -200,7 +82,6 @@ public:
                               std::size_t num_ranges,
                               util::kernels::SplitVec& out) const;
 
-    /// Tile-bounded response_base_into(): writes only the given spans.
     void response_base_ranges_into(const sdr::Medium& medium,
                                    std::size_t link_id,
                                    const sdr::Link& link,
@@ -211,18 +92,6 @@ public:
                                    std::size_t num_ranges,
                                    util::kernels::SplitVec& out) const;
 
-    /// Tile-bounded accumulate_element_row(): adds the row over only the
-    /// given spans of `h`.
-    void accumulate_element_row_ranges(std::size_t link_id,
-                                       std::size_t array_id,
-                                       std::size_t element, int state,
-                                       const util::kernels::IndexRange* ranges,
-                                       std::size_t num_ranges,
-                                       util::kernels::SplitVec& h) const;
-
-    /// Tile-bounded element_row_delta(): out = base + row over only the
-    /// given spans (one fused pass; outside the spans `out` is left
-    /// untouched). Same sizing/aliasing contract as element_row_delta().
     void element_row_delta_ranges(std::size_t link_id, std::size_t array_id,
                                   std::size_t element, int state,
                                   const util::kernels::IndexRange* ranges,
@@ -231,108 +100,37 @@ public:
                                   util::kernels::SplitVec& out) const;
 
     /// Builds (or refreshes) the entry for `link_id` so that subsequent
-    /// response_with() calls are pure reads.
+    /// reads are pure.
     void warm(const sdr::Medium& medium, std::size_t link_id,
               const sdr::Link& link);
 
-    /// Drops every entry (the next response per link is a miss).
+    /// Drops every entry (the next warm per link is a miss).
     void invalidate();
 
-    /// Folds `n` cache hits observed by a batch of response_with() reads.
-    /// response_with itself counts nothing: its contract guarantees a warm
-    /// entry (every read is a hit by construction), and the cached
-    /// evaluation path is ~quarter-microsecond per call, so even a relaxed
-    /// per-call increment would be measurable. Batch owners account for
-    /// their reads in one amortised add instead.
-    void note_batch_hits(std::uint64_t n);
+    /// Folds `n` cache hits observed by a batch of reads (reads count
+    /// nothing themselves; see CacheCounters).
+    void note_batch_hits(std::uint64_t n) { counters_.add_hits(n); }
 
-    Stats stats() const {
-        Stats s;
-        s.hits = hits_.load(std::memory_order_relaxed);
-        s.misses = misses_.load(std::memory_order_relaxed);
-        s.invalidations = invalidations_.load(std::memory_order_relaxed);
-        return s;
-    }
+    CacheStats stats() const { return counters_.stats(); }
 
 private:
-    /// One array's basis: per-state CFR rows in the blocked split-complex
-    /// layout. Row r's re segment starts at table[r * 2 * row_stride], its
-    /// im segment row_stride doubles later; row_stride is num_sc rounded
-    /// up to a multiple of kernels::kLanes (padding stays zero). One
-    /// allocation, one memory stream per gathered row.
-    struct ArrayBasis {
-        std::uint64_t structure_revision = 0;
-        std::vector<int> radices;             ///< states per element
-        std::vector<std::size_t> row_offset;  ///< element -> first row
-        std::size_t num_sc = 0;               ///< valid doubles per segment
-        std::size_t row_stride = 0;           ///< padded doubles per segment
-        std::vector<double> table;            ///< rows x [re | im] blocks
+    /// The entry of `link_id`, checked current for `link`.
+    const MultiLinkCache& current_entry(const sdr::Medium& medium,
+                                        std::size_t link_id,
+                                        const sdr::Link& link) const;
+    /// The entry of `link_id`, checked warm.
+    const MultiLinkCache& warm_entry(std::size_t link_id) const;
 
-        const double* row_re(std::size_t row) const {
-            return table.data() + row * 2 * row_stride;
-        }
-        const double* row_im(std::size_t row) const {
-            return row_re(row) + row_stride;
-        }
-        double* row_re(std::size_t row) {
-            return table.data() + row * 2 * row_stride;
-        }
-        double* row_im(std::size_t row) { return row_re(row) + row_stride; }
-    };
+    /// Shared body of the four reads; `ranges == nullptr` reads the full
+    /// band.
+    void read(const sdr::Medium& medium, std::size_t link_id,
+              const sdr::Link& link, std::size_t array_id,
+              const surface::Config& config, std::size_t skip_element,
+              const util::kernels::IndexRange* ranges,
+              std::size_t num_ranges, util::kernels::SplitVec& out) const;
 
-    /// Link endpoint fingerprint: 2 x (position + antenna facets). Fixed
-    /// arity, so current() compares without allocating.
-    static constexpr std::size_t kFingerprintSize = 18;
-    using Fingerprint = std::array<double, kFingerprintSize>;
-
-    struct Entry {
-        bool valid = false;
-        std::uint64_t env_revision = 0;
-        Fingerprint fingerprint{};
-        util::kernels::SplitVec h_static;
-        std::vector<ArrayBasis> arrays;
-    };
-
-    static Fingerprint link_fingerprint(const sdr::Link& link);
-    bool current(const sdr::Medium& medium, const Entry& entry,
-                 const sdr::Link& link) const;
-    void rebuild(const sdr::Medium& medium, Entry& entry,
-                 const sdr::Link& link);
-
-    /// Accumulates the rows selected by `config` into the split response
-    /// over each span, optionally skipping one element (kNoSkip = none).
-    /// add_rows() is the full-width special case (one span covering the
-    /// whole axis), so the two cannot drift.
-    static constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
-    static void add_rows(util::kernels::SplitVec& h, const ArrayBasis& basis,
-                         const surface::Config& config,
-                         std::size_t skip_element = kNoSkip);
-    static void add_rows_ranges(util::kernels::SplitVec& h,
-                                const ArrayBasis& basis,
-                                const surface::Config& config,
-                                const util::kernels::IndexRange* ranges,
-                                std::size_t num_ranges,
-                                std::size_t skip_element);
-
-    /// Shared body of response_with / response_into / response_base_into
-    /// and their tile-bounded forms (full-width calls pass one span).
-    void accumulate_response_ranges(const sdr::Medium& medium,
-                                    const Entry& entry, std::size_t array_id,
-                                    const surface::Config& config,
-                                    std::size_t skip_element,
-                                    const util::kernels::IndexRange* ranges,
-                                    std::size_t num_ranges,
-                                    util::kernels::SplitVec& out) const;
-    void accumulate_response(const sdr::Medium& medium, const Entry& entry,
-                             std::size_t array_id,
-                             const surface::Config& config,
-                             std::size_t skip_element,
-                             util::kernels::SplitVec& out) const;
-
-    std::vector<Entry> entries_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> invalidations_{0};
+    std::vector<MultiLinkCache> entries_;
+    CacheCounters counters_;
 };
 
 }  // namespace press::core

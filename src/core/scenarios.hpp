@@ -180,7 +180,7 @@ struct MultiLinkScenario {
 /// half-wavelength-pitch panel of `num_elements` `num_states`-phase
 /// elements between them, and the standard metal blocker for NLoS
 /// richness. Wi-Fi 20 MHz numerology. Pair with
-/// System::optimize_multilink and a control::MultiLinkProblem objective.
+/// System::optimize_fast and a control::MultiLinkProblem objective.
 MultiLinkScenario make_multi_link_scenario(
     std::uint64_t seed,
     const MultiLinkParams& params = MultiLinkParams::defaults());

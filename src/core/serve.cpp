@@ -20,21 +20,6 @@ using control::ServiceSearcher;
 constexpr double kQosPresetFloorDb = 10.0;
 constexpr double kQosPresetWeight = 4.0;
 
-/// True for the composite multi-link presets (selectors >= 3), which run
-/// through System::optimize_multilink over the shared basis instead of
-/// the single-link optimize_fast path.
-bool is_multilink_preset(std::uint8_t selector) {
-    switch (static_cast<ServiceObjective>(selector)) {
-        case ServiceObjective::kMaxMinFair:
-        case ServiceObjective::kSumMean:
-        case ServiceObjective::kQosFloor:
-        case ServiceObjective::kNullVictim:
-            return true;
-        default:
-            return false;
-    }
-}
-
 std::unique_ptr<control::Objective> make_objective(std::uint8_t selector,
                                                    std::size_t link_id,
                                                    std::size_t num_links) {
@@ -122,16 +107,9 @@ control::ServiceEngine make_service_engine(System& system,
             make_objective(req.objective, req.link_id, sys->num_links());
         const auto searcher = make_searcher(req.searcher);
         if (objective == nullptr || searcher == nullptr) return out;
-        // Composite presets score every link through the shared
-        // multi-link basis; single-link objectives keep the per-link
-        // cache path (and its bench-baselined performance).
         const control::OptimizationOutcome outcome =
-            is_multilink_preset(req.objective)
-                ? sys->optimize_multilink(req.array_id, *objective,
-                                          *searcher, plane, budget_s,
-                                          state->rng, threads)
-                : sys->optimize_fast(req.array_id, *objective, *searcher,
-                                     plane, budget_s, state->rng, threads);
+            sys->optimize_fast(req.array_id, *objective, *searcher, plane,
+                               budget_s, state->rng, threads);
         out.ok = outcome.final_apply_ok &&
                  !outcome.search.best_config.empty() &&
                  outcome.search.best_score > control::kFailedTrialScore;

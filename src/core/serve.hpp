@@ -33,13 +33,12 @@ struct ServeConfig {
 /// `system` must outlive any Service built on the returned bundle.
 ///
 /// Semantics mapped onto System:
-///   optimize        -> System::optimize_fast for the single-link
-///                      presets (kMinSnr/kMeanSnr), or
-///                      System::optimize_multilink for the composite
-///                      presets (selector >= kMaxMinFair) scored over
-///                      the shared multi-link basis; either way
-///                      cache-backed and leaves the best
-///                      configuration applied
+///   optimize        -> System::optimize_fast for every preset: the
+///                      single-link ones (kMinSnr/kMeanSnr) score one
+///                      link's segment, the composite ones (selector >=
+///                      kMaxMinFair) whole transmitter groups of the
+///                      one channel cache; either way it leaves the
+///                      best configuration applied
 ///   mutate          -> one element state poked through System::apply
 ///                      (fault models respected)
 ///   checkpoint      -> snapshots every array's current configuration

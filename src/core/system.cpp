@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <complex>
+#include <limits>
 
 #include "control/batch.hpp"
 #include "obs/metrics.hpp"
@@ -13,6 +14,36 @@
 #include "util/kernels.hpp"
 
 namespace press::core {
+
+namespace {
+
+/// Post-search accounting for composite objectives: gauges for the scene
+/// shape and one histogram of per-link winner scores (noise-free
+/// estimator-scale mean SNR, the value the search's soundings converge
+/// to). One observation per link per optimize call — cold path, never
+/// inside the candidate loop.
+void record_multilink_telemetry(std::size_t num_links,
+                                std::size_t num_groups,
+                                const std::vector<double>& link_scores_db) {
+    auto& registry = obs::MetricsRegistry::global();
+    registry.gauge("control.multilink.links")
+        .set(static_cast<double>(num_links));
+    registry.gauge("control.multilink.groups")
+        .set(static_cast<double>(num_groups));
+    static obs::Histogram& scores = registry.histogram(
+        "control.multilink.link_score_db",
+        {-20.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0,
+         40.0});
+    double worst = std::numeric_limits<double>::infinity();
+    for (double v : link_scores_db) {
+        scores.observe(v);
+        worst = std::min(worst, v);
+    }
+    if (!link_scores_db.empty())
+        registry.gauge("control.multilink.worst_link_db").set(worst);
+}
+
+}  // namespace
 
 System::System(sdr::Medium medium) : medium_(std::move(medium)) {}
 
@@ -36,8 +67,27 @@ void System::set_sounding_repeats(std::size_t repeats) {
     sounding_repeats_ = repeats;
 }
 
+void System::warm_multilink() const {
+    if (cache_.warm(medium_, links_)) cache_counters_.add_miss();
+}
+
 util::CVec System::channel_response(std::size_t link_id) const {
-    return link_cache_.response(medium_, link_id, link(link_id));
+    PRESS_EXPECTS(link_id < links_.size(), "link id out of range");
+    if (cache_.warm(medium_, links_))
+        cache_counters_.add_miss();
+    else
+        cache_counters_.add_hits(1);
+    // An array id past the last array overrides none: every array reads
+    // at its applied configuration.
+    const util::kernels::IndexRange full{0, cache_.num_sc()};
+    util::kernels::SplitVec h;
+    cache_.response_into(medium_, cache_.link_segment(link_id),
+                         medium_.num_arrays(), surface::Config{},
+                         MultiLinkCache::kNoSkip, &full, 1, h);
+    util::CVec out(h.size());
+    util::kernels::interleave(h.re.data(), h.im.data(), out.data(),
+                              h.size());
+    return out;
 }
 
 phy::ChannelEstimate System::sound(std::size_t link_id,
@@ -190,11 +240,10 @@ control::OptimizationOutcome System::optimize_fast(
     const std::size_t max_evals = std::max<std::size_t>(
         1, static_cast<std::size_t>(time_budget_s / trial_cost));
 
-    // Warm every link's basis so the batch workers only ever read.
+    // Warm the basis so the batch workers only ever read.
     {
         obs::TraceSpan warm_span("core.system.warm_cache");
-        for (std::size_t i = 0; i < links_.size(); ++i)
-            link_cache_.warm(medium_, i, links_[i]);
+        warm_multilink();
     }
 
     // Trials are scored against the cache instead of actuating the
@@ -212,252 +261,209 @@ control::OptimizationOutcome System::optimize_fast(
     for (std::size_t i = 0; i < num_links; ++i)
         link_noise[i] = medium_.estimate_noise_variance(links_[i]);
 
-    // Objectives that reduce one link's SNR span through a min or mean
-    // skip the Observation entirely: response -> sounding draws -> fused
-    // reduction, all inside the worker's scratch arena.
+    // Scoring mode: a composite MultiLinkSpec wins, then a single-link
+    // fused spec, then the general Observation path.
+    const control::MultiLinkSpec* ml = objective.multilink_spec();
+    if (ml != nullptr) {
+        for (const control::LinkTerm& t : ml->terms) {
+            PRESS_EXPECTS(t.link < num_links,
+                          "multi-link term names an unregistered link");
+            PRESS_EXPECTS(t.reduce != control::FusedSpec::Kind::kNone,
+                          "a multi-link term must reduce to a scalar");
+        }
+    }
     const control::FusedSpec fused = objective.fused_spec();
-    const bool fuse = fused.kind != control::FusedSpec::Kind::kNone &&
+    const bool fuse = ml == nullptr &&
+                      fused.kind != control::FusedSpec::Kind::kNone &&
                       fused.link < num_links;
-    const std::size_t responses_per_eval = fuse ? 1 : num_links;
-    const std::size_t repeats = sounding_repeats_;
+
+    // The reads a candidate assembles — the fused link's own segment, or
+    // whole transmitter groups in ascending id (the term links' groups,
+    // or every group) — and where each scored link lands in them.
+    struct Placement {
+        std::size_t read = 0;
+        std::size_t offset = 0;
+    };
+    std::vector<MultiLinkCache::Segments> reads;
+    std::vector<Placement> placement(num_links);
+    if (fuse) {
+        reads.push_back(cache_.link_segment(fused.link));
+    } else {
+        std::vector<bool> needed(cache_.num_groups(), ml == nullptr);
+        if (ml != nullptr)
+            for (const control::LinkTerm& t : ml->terms)
+                needed[cache_.view(t.link).group] = true;
+        std::vector<std::size_t> read_of(cache_.num_groups());
+        for (std::size_t g = 0; g < needed.size(); ++g) {
+            if (!needed[g]) continue;
+            read_of[g] = reads.size();
+            reads.push_back(cache_.group_segments(g));
+        }
+        for (std::size_t i = 0; i < num_links; ++i) {
+            const MultiLinkCache::LinkView v = cache_.view(i);
+            if (needed[v.group]) placement[i] = {read_of[v.group], v.offset};
+        }
+    }
+    // Every assembled segment is a served link response: the hit
+    // accounting and the shard task weight both count (candidate x link)
+    // tiles.
+    std::size_t responses_per_eval = 0;
+    for (const MultiLinkCache::Segments& r : reads)
+        responses_per_eval += r.count;
 
     // Masked fused objectives (DESIGN.md §15) score only the RU mask's
-    // active tones: the basis accumulation is bounded to the subcarrier
-    // tiles the mask intersects (tile_spans), the sounding draws one
-    // noise sample per ACTIVE tone per repetition (ascending active-index
-    // order — identical rng consumption on the delta and recompute
-    // paths), and the reduction runs over the dense masked axis.
-    const bool masked = fuse && fused.mask != nullptr;
-    std::vector<util::kernels::IndexRange> mask_spans;
-    const std::size_t* mask_idx = nullptr;
-    std::size_t mask_m = 0;
-    if (masked) {
+    // active tones: the reads are bounded to the subcarrier tiles the
+    // mask intersects (tile_spans) and the sounding draws only the active
+    // tones. Every other mode reads and sounds the whole band.
+    const std::size_t num_sc = cache_.num_sc();
+    std::vector<util::kernels::IndexRange> spans{{0, num_sc}};
+    const std::size_t* tones = nullptr;  // nullptr: every tone
+    std::size_t num_tones = num_sc;
+    if (fuse && fused.mask != nullptr) {
         PRESS_EXPECTS(fused.mask->num_used() == medium_.ofdm().num_used(),
                       "RU mask must span the numerology's used tones");
         PRESS_EXPECTS(fused.mask->num_active() > 0,
                       "RU mask must leave at least one active tone");
-        const std::vector<phy::RuRange> spans =
-            fused.mask->tile_spans(LinkCache::kTileSubcarriers);
-        mask_spans.reserve(spans.size());
-        for (const phy::RuRange& r : spans)
-            mask_spans.push_back({r.first, r.last - r.first});
-        mask_idx = fused.mask->active_indices().data();
-        mask_m = fused.mask->active_indices().size();
+        spans.clear();
+        for (const phy::RuRange& r :
+             fused.mask->tile_spans(MultiLinkCache::kTileSubcarriers))
+            spans.push_back({r.first, r.last - r.first});
+        tones = fused.mask->active_indices().data();
+        num_tones = fused.mask->active_indices().size();
     }
 
-    // Simulates the sounding of link `link_id` whose cached response is
-    // already in s.h: raw LTF draws (same r-outer / k-inner rng order as
-    // Medium::sound_with_response) then the combining kernel, leaving the
-    // combined estimate in s.mean_re/_im and s.noise_var.
-    const auto sound_scratch = [&link_noise, repeats](
-                                   std::size_t link_id, util::Rng& crng,
-                                   control::EvalScratch& s) {
-        const std::size_t n = s.h.size();
+    // Sounds link `link_id`, whose noise-free response starts `offset`
+    // doubles into `h`: per LTF repetition one noise draw per scored tone
+    // in ascending tone order (Medium::sound_with_response's r-outer /
+    // k-inner order, restricted to the tone list), packed densely and
+    // combined by the LTF kernel into s.mean_re/_im and s.noise_var.
+    const std::size_t repeats = sounding_repeats_;
+    const auto sound = [&link_noise, repeats, tones, num_tones](
+                           std::size_t link_id,
+                           const util::kernels::SplitVec& h,
+                           std::size_t offset, util::Rng& crng,
+                           control::EvalScratch& s) {
         const double var = link_noise[link_id];
-        s.resize_tracked(s.raw_re, repeats * n);
-        s.resize_tracked(s.raw_im, repeats * n);
-        s.resize_tracked(s.mean_re, n);
-        s.resize_tracked(s.mean_im, n);
-        s.resize_tracked(s.noise_var, n);
+        const double* h_re = h.re.data() + offset;
+        const double* h_im = h.im.data() + offset;
+        s.resize_tracked(s.raw_re, repeats * num_tones);
+        s.resize_tracked(s.raw_im, repeats * num_tones);
+        s.resize_tracked(s.mean_re, num_tones);
+        s.resize_tracked(s.mean_im, num_tones);
+        s.resize_tracked(s.noise_var, num_tones);
         for (std::size_t r = 0; r < repeats; ++r) {
-            double* rr = s.raw_re.data() + r * n;
-            double* ri = s.raw_im.data() + r * n;
-            for (std::size_t k = 0; k < n; ++k) {
+            double* rr = s.raw_re.data() + r * num_tones;
+            double* ri = s.raw_im.data() + r * num_tones;
+            for (std::size_t i = 0; i < num_tones; ++i) {
+                const std::size_t k = tones != nullptr ? tones[i] : i;
                 const std::complex<double> w = crng.complex_gaussian(var);
-                rr[k] = s.h.re[k] + w.real();
-                ri[k] = s.h.im[k] + w.imag();
+                rr[i] = h_re[k] + w.real();
+                ri[i] = h_im[k] + w.imag();
             }
         }
         util::kernels::ltf_mean_var(
             util::kernels::active(), s.raw_re.data(), s.raw_im.data(),
-            repeats, n, s.mean_re.data(), s.mean_im.data(),
+            repeats, num_tones, s.mean_re.data(), s.mean_im.data(),
             s.noise_var.data());
     };
 
-    // Fused finish: sound the objective's link and reduce straight to the
-    // score (min exactly matches the Observation path; mean differs by
+    // Reduces the sounding in `s` to one SNR (dB) through the fused
+    // kernels (min exactly matches the Observation path; mean differs by
     // blocked-vs-sequential association ulps, see FusedSpec).
-    const auto finish_fused = [&sound_scratch, fused](
-                                  util::Rng& crng, control::EvalScratch& s) {
-        sound_scratch(fused.link, crng, s);
+    const auto reduce = [num_tones](control::FusedSpec::Kind kind,
+                                    const control::EvalScratch& s) {
         const util::kernels::Dispatch d = util::kernels::active();
-        const std::size_t n = s.h.size();
-        return fused.kind == control::FusedSpec::Kind::kMinSnr
+        return kind == control::FusedSpec::Kind::kMinSnr
                    ? util::kernels::snr_db_min(
                          d, s.mean_re.data(), s.mean_im.data(),
-                         s.noise_var.data(), n, phy::kSnrCapDb,
+                         s.noise_var.data(), num_tones, phy::kSnrCapDb,
                          phy::kSnrFloorDb)
                    : util::kernels::snr_db_mean(
                          d, s.mean_re.data(), s.mean_im.data(),
-                         s.noise_var.data(), n, phy::kSnrCapDb,
+                         s.noise_var.data(), num_tones, phy::kSnrCapDb,
                          phy::kSnrFloorDb);
     };
 
-    // Masked fused finish: sound ONLY the active tones of the candidate
-    // response already in s.h (one gaussian per active tone per
-    // repetition, ascending active order), combine through the masked
-    // LTF kernel into dense length-m spans, and reduce densely. The
-    // blocked reduction runs over the dense masked axis, so the score is
-    // bit-identical to gathering the active tones first and running the
-    // unmasked fused finish on the dense vectors.
-    const auto finish_fused_masked = [&link_noise, repeats, fused, mask_idx,
-                                      mask_m](util::Rng& crng,
-                                              control::EvalScratch& s) {
-        const std::size_t n = s.h.size();
-        const double var = link_noise[fused.link];
-        s.resize_tracked(s.raw_re, repeats * n);
-        s.resize_tracked(s.raw_im, repeats * n);
-        s.resize_tracked(s.mean_re, mask_m);
-        s.resize_tracked(s.mean_im, mask_m);
-        s.resize_tracked(s.noise_var, mask_m);
-        for (std::size_t r = 0; r < repeats; ++r) {
-            double* rr = s.raw_re.data() + r * n;
-            double* ri = s.raw_im.data() + r * n;
-            for (std::size_t i = 0; i < mask_m; ++i) {
-                const std::size_t k = mask_idx[i];
-                const std::complex<double> w = crng.complex_gaussian(var);
-                rr[k] = s.h.re[k] + w.real();
-                ri[k] = s.h.im[k] + w.imag();
+    // Scores a candidate whose reads are assembled in s.group_h, sounding
+    // links in term, fused or ascending-id order.
+    const auto score = [&](util::Rng& crng,
+                           control::EvalScratch& s) -> double {
+        if (ml != nullptr) {
+            s.resize_tracked(s.term_utility, ml->terms.size());
+            for (std::size_t t = 0; t < ml->terms.size(); ++t) {
+                const control::LinkTerm& term = ml->terms[t];
+                const Placement& p = placement[term.link];
+                sound(term.link, s.group_h[p.read], p.offset, crng, s);
+                s.term_utility[t] = control::MultiLinkObjective::term_utility(
+                    term, reduce(term.reduce, s));
             }
+            return control::MultiLinkObjective::combine(
+                *ml, s.term_utility.data());
         }
-        const util::kernels::Dispatch d = util::kernels::active();
-        util::kernels::masked_ltf_mean_var(
-            d, s.raw_re.data(), s.raw_im.data(), repeats, n, mask_idx,
-            mask_m, s.mean_re.data(), s.mean_im.data(), s.noise_var.data());
-        return fused.kind == control::FusedSpec::Kind::kMinSnr
-                   ? util::kernels::snr_db_min(
-                         d, s.mean_re.data(), s.mean_im.data(),
-                         s.noise_var.data(), mask_m, phy::kSnrCapDb,
-                         phy::kSnrFloorDb)
-                   : util::kernels::snr_db_mean(
-                         d, s.mean_re.data(), s.mean_im.data(),
-                         s.noise_var.data(), mask_m, phy::kSnrCapDb,
-                         phy::kSnrFloorDb);
+        if (fuse) {
+            sound(fused.link, s.group_h[0], 0, crng, s);
+            return reduce(fused.kind, s);
+        }
+        if (s.observation.link_snr_db.size() != num_links)
+            s.observation.link_snr_db.resize(num_links);
+        for (std::size_t i = 0; i < num_links; ++i) {
+            sound(i, s.group_h[placement[i].read], placement[i].offset, crng,
+                  s);
+            std::vector<double>& snr = s.observation.link_snr_db[i];
+            s.resize_tracked(snr, num_sc);
+            util::kernels::snr_db_into(
+                util::kernels::active(), s.mean_re.data(), s.mean_im.data(),
+                s.noise_var.data(), num_sc, phy::kSnrCapDb, phy::kSnrFloorDb,
+                snr.data());
+        }
+        return objective.score(s.observation);
     };
 
-    // General finish: rebuild the Observation in the scratch arena — one
-    // response + sounding + SNR fill per link — and score it.
-    const auto finish_general =
-        [this, &objective, &sound_scratch, num_links, array_id](
-            const surface::Config& actual, util::Rng& crng,
-            control::EvalScratch& s) {
-            if (s.observation.link_snr_db.size() != num_links)
-                s.observation.link_snr_db.resize(num_links);
-            for (std::size_t i = 0; i < num_links; ++i) {
-                link_cache_.response_into(medium_, i, links_[i], array_id,
-                                          actual, s.h);
-                sound_scratch(i, crng, s);
-                std::vector<double>& snr = s.observation.link_snr_db[i];
-                s.resize_tracked(snr, s.h.size());
-                util::kernels::snr_db_into(
-                    util::kernels::active(), s.mean_re.data(),
-                    s.mean_im.data(), s.noise_var.data(), s.h.size(),
-                    phy::kSnrCapDb, phy::kSnrFloorDb, snr.data());
-            }
-            return objective.score(s.observation);
-        };
+    const auto ensure_reads = [&reads](control::EvalScratch& s) {
+        // Outer vector sized once per worker; the SplitVecs inside grow to
+        // their read width on first use and are reused afterwards.
+        if (s.group_h.size() != reads.size()) s.group_h.resize(reads.size());
+    };
 
     control::BatchEvaluator pool(
-        [this, array_id, fm, &baseline, fuse, fused, masked, &mask_spans,
-         &finish_fused, &finish_fused_masked,
-         &finish_general](const surface::Config& c, util::Rng& crng,
-                          control::EvalScratch& s) {
+        [this, array_id, fm, &baseline, &reads, &spans, &ensure_reads,
+         &score](const surface::Config& c, util::Rng& crng,
+                 control::EvalScratch& s) {
             const surface::Config* actual = &c;
             if (fm) {
                 fm->distorted_into(c, baseline, crng, s.config);
                 actual = &s.config;
             }
-            if (masked) {
-                link_cache_.response_ranges_into(
-                    medium_, fused.link, links_[fused.link], array_id,
-                    *actual, mask_spans.data(), mask_spans.size(), s.h);
-                return finish_fused_masked(crng, s);
-            }
-            if (fuse) {
-                link_cache_.response_into(medium_, fused.link,
-                                          links_[fused.link], array_id,
-                                          *actual, s.h);
-                return finish_fused(crng, s);
-            }
-            return finish_general(*actual, crng, s);
+            ensure_reads(s);
+            for (std::size_t r = 0; r < reads.size(); ++r)
+                cache_.response_into(medium_, reads[r], array_id, *actual,
+                                     MultiLinkCache::kNoSkip, spans.data(),
+                                     spans.size(), s.group_h[r]);
+            return score(crng, s);
         },
         rng.engine()(), threads);
+    // Shard in (candidate x link) tiles: a 32-link candidate carries 32
+    // tiles of work, so claims stay small enough to balance the tail.
+    // One-segment reads keep the default weight of one.
+    if (responses_per_eval > 1) pool.set_task_weight(responses_per_eval);
 
-    // Coordinate sweeps share per-coordinate base responses (the swept
-    // element's row excluded) built once here, outside the workers; each
-    // candidate then costs one copy plus one row-add. With the delta path
-    // disabled (PRESS_DELTA=0) workers recompute the base per candidate —
-    // same arithmetic, same bits, no cache.
-    const bool delta = control::coordinate_delta_enabled();
-    std::vector<util::kernels::SplitVec> coord_base(num_links);
+    // Coordinate sweeps build each read's base (the swept element's row
+    // left out) once per sweep, outside the workers; a candidate is then
+    // one fused base-plus-row pass per read, the swept row added last.
+    std::vector<util::kernels::SplitVec> coord_base(reads.size());
     pool.set_coordinate_score(
-        [this, array_id, fuse, fused, masked, &mask_spans, num_links, delta,
-         &coord_base, &objective, &sound_scratch, &finish_fused,
-         &finish_fused_masked](
-            const control::CoordinateBatch& cb, std::size_t idx,
-            util::Rng& crng, control::EvalScratch& s) {
+        [this, array_id, &reads, &spans, &coord_base, &ensure_reads,
+         &score](const control::CoordinateBatch& cb, std::size_t idx,
+                 util::Rng& crng, control::EvalScratch& s) {
             const int state = (*cb.states)[idx];
-            const util::kernels::Dispatch d = util::kernels::active();
-            const auto load_candidate = [&](std::size_t link_id) {
-                if (delta) {
-                    // Fused delta: candidate = base + swept row in one
-                    // pass — bit-identical to copy-then-add (same single
-                    // addition per tone), 60% of the memory traffic.
-                    const util::kernels::SplitVec& base =
-                        coord_base[link_id];
-                    s.resize_tracked(s.h, base.size());
-                    link_cache_.element_row_delta(link_id, array_id,
-                                                  cb.element, state, base,
-                                                  s.h);
-                } else {
-                    link_cache_.response_base_into(
-                        medium_, link_id, links_[link_id], array_id,
-                        *cb.base, cb.element, s.h);
-                    link_cache_.accumulate_element_row(
-                        link_id, array_id, cb.element, state, s.h);
-                }
-            };
-            if (masked) {
-                // Tile-bounded delta sweep: the fused base-plus-row pass
-                // and the base recompute both walk only the mask's tile
-                // spans. The swept row still combines with the base as
-                // the last addition on each tone, so the delta and
-                // recompute paths agree bitwise on every span double.
-                if (delta) {
-                    const util::kernels::SplitVec& base =
-                        coord_base[fused.link];
-                    s.resize_tracked(s.h, base.size());
-                    link_cache_.element_row_delta_ranges(
-                        fused.link, array_id, cb.element, state,
-                        mask_spans.data(), mask_spans.size(), base, s.h);
-                } else {
-                    link_cache_.response_base_ranges_into(
-                        medium_, fused.link, links_[fused.link], array_id,
-                        *cb.base, cb.element, mask_spans.data(),
-                        mask_spans.size(), s.h);
-                    link_cache_.accumulate_element_row_ranges(
-                        fused.link, array_id, cb.element, state,
-                        mask_spans.data(), mask_spans.size(), s.h);
-                }
-                return finish_fused_masked(crng, s);
+            ensure_reads(s);
+            for (std::size_t r = 0; r < reads.size(); ++r) {
+                s.resize_tracked(s.group_h[r], coord_base[r].size());
+                cache_.row_delta(reads[r], array_id, cb.element, state,
+                                 spans.data(), spans.size(), coord_base[r],
+                                 s.group_h[r]);
             }
-            if (fuse) {
-                load_candidate(fused.link);
-                return finish_fused(crng, s);
-            }
-            if (s.observation.link_snr_db.size() != num_links)
-                s.observation.link_snr_db.resize(num_links);
-            for (std::size_t i = 0; i < num_links; ++i) {
-                load_candidate(i);
-                sound_scratch(i, crng, s);
-                std::vector<double>& snr = s.observation.link_snr_db[i];
-                s.resize_tracked(snr, s.h.size());
-                util::kernels::snr_db_into(
-                    d, s.mean_re.data(), s.mean_im.data(),
-                    s.noise_var.data(), s.h.size(), phy::kSnrCapDb,
-                    phy::kSnrFloorDb, snr.data());
-            }
-            return objective.score(s.observation);
+            return score(crng, s);
         });
 
     control::OptimizationOutcome outcome;
@@ -470,10 +476,8 @@ control::OptimizationOutcome System::optimize_fast(
             std::vector<double> scores = pool.evaluate(batch);
             // Every cached read inside the batch is a hit by the warm()
             // precondition; fold them at batch granularity so the
-            // per-call path stays instrumentation-free. A candidate reads
-            // one response per scored link (one when the objective is
-            // fused), however it was assembled.
-            link_cache_.note_batch_hits(
+            // per-call path stays instrumentation-free.
+            cache_counters_.add_hits(
                 static_cast<std::uint64_t>(batch.size()) *
                 responses_per_eval);
             clock.advance(trial_cost * static_cast<double>(batch.size()));
@@ -487,32 +491,17 @@ control::OptimizationOutcome System::optimize_fast(
         fm ? control::CoordinateEvalFn{}
            : control::CoordinateEvalFn(
                  [this, &pool, &clock, trial_cost, responses_per_eval,
-                  delta, fuse, fused, masked, &mask_spans, num_links,
-                  array_id, &coord_base](
+                  array_id, &reads, &spans, &coord_base](
                      const surface::Config& base, std::size_t element,
                      const std::vector<int>& states) {
-                     if (delta) {
-                         if (masked)
-                             link_cache_.response_base_ranges_into(
-                                 medium_, fused.link, links_[fused.link],
-                                 array_id, base, element,
-                                 mask_spans.data(), mask_spans.size(),
-                                 coord_base[fused.link]);
-                         else if (fuse)
-                             link_cache_.response_base_into(
-                                 medium_, fused.link, links_[fused.link],
-                                 array_id, base, element,
-                                 coord_base[fused.link]);
-                         else
-                             for (std::size_t i = 0; i < num_links; ++i)
-                                 link_cache_.response_base_into(
-                                     medium_, i, links_[i], array_id, base,
-                                     element, coord_base[i]);
-                     }
+                     for (std::size_t r = 0; r < reads.size(); ++r)
+                         cache_.response_into(medium_, reads[r], array_id,
+                                              base, element, spans.data(),
+                                              spans.size(), coord_base[r]);
                      control::CoordinateBatch cb{&base, element, &states};
                      std::vector<double> scores =
                          pool.evaluate_coordinate(cb);
-                     link_cache_.note_batch_hits(
+                     cache_counters_.add_hits(
                          static_cast<std::uint64_t>(states.size()) *
                          responses_per_eval);
                      clock.advance(trial_cost *
@@ -560,6 +549,34 @@ control::OptimizationOutcome System::optimize_fast(
     // Actuate the winner through the normal (fault-distorting) path.
     if (!outcome.search.best_config.empty())
         apply(array_id, outcome.search.best_config);
+
+    // Composite objectives also report every link's winner score: the
+    // noise-free estimator-scale mean SNR under the applied (possibly
+    // fault-distorted) configuration, read from the basis. Cold path.
+    if (ml != nullptr && obs::enabled()) {
+        const util::kernels::IndexRange full{0, num_sc};
+        const surface::Config& applied =
+            medium_.array(array_id).current_config();
+        util::kernels::SplitVec wide;
+        std::vector<double> noise(num_sc);
+        std::vector<double> scores_db(num_links, 0.0);
+        for (std::size_t g = 0; g < cache_.num_groups(); ++g) {
+            cache_.response_into(medium_, cache_.group_segments(g),
+                                 array_id, applied, MultiLinkCache::kNoSkip,
+                                 &full, 1, wide);
+            for (const std::size_t link_id : cache_.group_links(g)) {
+                const std::size_t offset = cache_.view(link_id).offset;
+                noise.assign(num_sc, link_noise[link_id]);
+                scores_db[link_id] = util::kernels::snr_db_mean(
+                    util::kernels::active(), wide.re.data() + offset,
+                    wide.im.data() + offset, noise.data(), num_sc,
+                    phy::kSnrCapDb, phy::kSnrFloorDb);
+            }
+        }
+        cache_counters_.add_hits(num_links);
+        record_multilink_telemetry(num_links, cache_.num_groups(),
+                                   scores_db);
+    }
     return outcome;
 }
 

@@ -14,13 +14,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <vector>
 
 #include "control/controller.hpp"
 #include "control/objective.hpp"
 #include "control/search.hpp"
-#include "core/link_cache.hpp"
 #include "core/multilink_cache.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
@@ -50,9 +50,10 @@ public:
     void set_sounding_repeats(std::size_t repeats);
     std::size_t sounding_repeats() const { return sounding_repeats_; }
 
-    /// Noise-free CFR of one link under the current configuration, served
-    /// from the factored channel cache (H = H_static + B . g(config));
-    /// bit-identical to synthesizing medium().resolve_paths() directly.
+    /// Noise-free CFR of one link under the current configuration: the
+    /// link's segment of the factored channel cache (H = H_static +
+    /// B . g(config)), bit-identical to synthesizing
+    /// medium().resolve_paths() directly.
     util::CVec channel_response(std::size_t link_id) const;
 
     /// Sounds one link under the current configuration.
@@ -119,55 +120,67 @@ public:
     /// the control-plane rate (parallelism speeds up the simulator, not
     /// the modeled hardware). Stuck/dead/drift faults are fully respected;
     /// flaky switches are evaluated against the pre-search array state.
-    /// Results are bit-reproducible for a given rng state regardless of
-    /// `threads` (0 = PRESS_THREADS env override, else hardware default).
-    /// The best configuration found is applied before returning.
+    ///
+    /// The objective picks the scoring mode, tried in this order:
+    ///   - a composite control::MultiLinkSpec (weighted sums, max-min
+    ///     fairness, QoS floors, nulling): each candidate assembles the
+    ///     whole transmitter groups of its term links — one row selection
+    ///     per group serves every member — then sounds and reduces each
+    ///     term in term order and combines, no Observation materialized;
+    ///   - a single-link control::FusedSpec (min or mean SNR, optionally
+    ///     under an RU mask): one link's segment, sounded and reduced over
+    ///     the mask's active tones (all tones without one);
+    ///   - otherwise the general path: every link in ascending id order,
+    ///     materialized into an Observation for objective.score().
+    /// Each candidate draws its fault distortion first, then its links'
+    /// sounding noise in that order, from a private rng stream, so results
+    /// are bit-reproducible for a given rng state regardless of `threads`
+    /// (0 = PRESS_THREADS env override, else hardware default) and kernel
+    /// flavor. The best configuration found is applied before returning.
     control::OptimizationOutcome optimize_fast(
         std::size_t array_id, const control::Objective& objective,
         const control::Searcher& searcher,
         const control::ControlPlaneModel& plane, double time_budget_s,
         util::Rng& rng, std::size_t threads = 0);
 
-    /// Multi-link optimization over the SHARED basis: every candidate is
-    /// scored against core::MultiLinkCache's per-transmitter stacked
-    /// tables — one row selection per transmitter group serves all of
-    /// that group's links — instead of N per-link caches. Composite
-    /// objectives advertising a MultiLinkSpec (weighted sums, max-min
-    /// fairness, QoS floors, nulling; see control::MultiLinkProblem) are
-    /// scored fused inside the worker arenas: group responses -> per-term
-    /// sounding + reduction -> combinator, no Observation materialized.
-    /// Single-link fused objectives and general objectives work too (the
-    /// latter materializes the Observation from the stacked responses).
-    /// Same determinism contract as optimize_fast: bit-identical results
-    /// for any thread count and kernel flavor; the winner is applied.
-    /// Defined in core/multilink.cpp.
+    /// The same as optimize_fast (the name multi-link callers use).
     control::OptimizationOutcome optimize_multilink(
         std::size_t array_id, const control::Objective& objective,
         const control::Searcher& searcher,
         const control::ControlPlaneModel& plane, double time_budget_s,
-        util::Rng& rng, std::size_t threads = 0);
-
-    /// Warms the shared multi-link basis for every registered link (a
-    /// no-op when current). optimize_multilink calls this itself; exposed
-    /// so benches can split build cost from steady-state sweeps.
-    void warm_multilink() { multi_cache_.warm(medium_, links_); }
-
-    /// The shared multi-link basis (warm after warm_multilink()).
-    const MultiLinkCache& multilink_cache() const { return multi_cache_; }
-    MultiLinkCache::Stats multilink_cache_stats() const {
-        return multi_cache_.stats();
+        util::Rng& rng, std::size_t threads = 0) {
+        return optimize_fast(array_id, objective, searcher, plane,
+                             time_budget_s, rng, threads);
     }
 
-    /// Snapshot of the factored channel cache counters (hits, misses,
-    /// invalidations). Also exported through the telemetry registry as
-    /// core.link_cache.* when observability is enabled.
-    LinkCache::Stats cache_stats() const { return link_cache_.stats(); }
+    /// Warms the channel cache for every registered link (a no-op when
+    /// current). Every read warms it on demand; exposed so benches can
+    /// split build cost from steady-state sweeps.
+    void warm_multilink() const;
 
-    /// Drops every cached channel basis — per-link and shared multi-link
-    /// (the next observation / multi-link optimize rebuilds).
+    /// The channel cache (warm after warm_multilink()).
+    const MultiLinkCache& multilink_cache() const { return cache_; }
+
+    /// Snapshot of the channel cache counters (hits, misses = basis
+    /// builds, invalidations). Also exported through the telemetry
+    /// registry as core.link_cache.* when observability is enabled.
+    CacheStats cache_stats() const { return cache_counters_.stats(); }
+
+    /// The same counters under their multi-link names.
+    struct MultiLinkStats {
+        std::uint64_t hits = 0;
+        std::uint64_t rebuilds = 0;  ///< == cache_stats().misses
+        std::uint64_t invalidations = 0;
+    };
+    MultiLinkStats multilink_cache_stats() const {
+        const CacheStats s = cache_stats();
+        return {s.hits, s.misses, s.invalidations};
+    }
+
+    /// Drops the channel cache (the next read or optimize rebuilds it).
     void invalidate_cache() {
-        link_cache_.invalidate();
-        multi_cache_.invalidate();
+        cache_.invalidate();
+        cache_counters_.add_invalidation();
     }
 
 private:
@@ -175,11 +188,11 @@ private:
     std::vector<sdr::Link> links_;
     std::size_t sounding_repeats_ = 4;
     std::map<std::size_t, fault::FaultModel> fault_models_;
-    /// Factored per-link channel bases; rebuilt lazily on geometry,
-    /// endpoint or fault changes. Mutable: observation is logically const.
-    mutable LinkCache link_cache_;
-    /// Shared per-transmitter stacked bases for multi-link optimization.
-    mutable MultiLinkCache multi_cache_;
+    /// The factored channel basis of every registered link, grouped by
+    /// transmitter; rebuilt lazily on geometry, endpoint or fault changes.
+    /// Mutable: observation is logically const.
+    mutable MultiLinkCache cache_;
+    mutable CacheCounters cache_counters_;
 };
 
 }  // namespace press::core

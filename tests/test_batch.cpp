@@ -162,20 +162,6 @@ TEST(BatchEvaluator, ArenaGrowthIsBoundedByWorkersNotBatches) {
     EXPECT_LE(stats.bytes_reserved, kThreads * 3u * 64 * sizeof(double));
 }
 
-TEST(BatchEvaluator, DeltaToggleParsesTheEnvironment) {
-    ::unsetenv("PRESS_DELTA");
-    EXPECT_TRUE(coordinate_delta_enabled());
-    ::setenv("PRESS_DELTA", "0", 1);
-    EXPECT_FALSE(coordinate_delta_enabled());
-    ::setenv("PRESS_DELTA", "OFF", 1);
-    EXPECT_FALSE(coordinate_delta_enabled());
-    ::setenv("PRESS_DELTA", "false", 1);
-    EXPECT_FALSE(coordinate_delta_enabled());
-    ::setenv("PRESS_DELTA", "1", 1);
-    EXPECT_TRUE(coordinate_delta_enabled());
-    ::unsetenv("PRESS_DELTA");
-}
-
 // ----------------------------------------------------- batched searchers
 
 surface::ConfigSpace small_space() {
@@ -298,14 +284,12 @@ TEST(OptimizeFast, DeterministicAcrossThreadCounts) {
     EXPECT_EQ(one.elapsed_s, two.elapsed_s);
 }
 
-TEST(OptimizeFast, DeltaPathMatchesRecomputeBitExactly) {
-    // The incremental coordinate-delta path (base response cached per
-    // coordinate) and the recompute-per-candidate path must produce
-    // identical SearchResults — same bits, any thread count. Both add the
-    // swept element's row last, so this is an equality, not a tolerance.
-    const auto run = [](const char* delta, std::size_t threads,
-                        bool mean_objective) {
-        ::setenv("PRESS_DELTA", delta, 1);
+TEST(OptimizeFast, CoordinateDeltaBitIdenticalAcrossThreadCounts) {
+    // Coordinate sweeps score base + swept row, the base built once per
+    // coordinate outside the workers: the SearchResult — remeasure
+    // included — must be the same bits for any thread count, for both
+    // the min (order-free) and the mean (blocked) reductions.
+    const auto run = [](std::size_t threads, bool mean_objective) {
         core::LinkScenario scenario = core::make_link_scenario(21, false);
         util::Rng rng(6);
         OptimizationOutcome o;
@@ -319,21 +303,16 @@ TEST(OptimizeFast, DeltaPathMatchesRecomputeBitExactly) {
                 scenario.array_id, MinSnrObjective(0),
                 GreedyCoordinateDescent(), ControlPlaneModel::fast(), 0.25,
                 rng, threads);
-        ::unsetenv("PRESS_DELTA");
         return o.search;
     };
     for (const bool mean_objective : {false, true}) {
-        const SearchResult on = run("1", 1, mean_objective);
-        for (const std::size_t threads : {1u, 3u, 8u}) {
-            const SearchResult off = run("0", threads, mean_objective);
-            EXPECT_EQ(on.best_config, off.best_config);
-            EXPECT_EQ(on.best_score, off.best_score);
-            EXPECT_EQ(on.best_score_remeasured, off.best_score_remeasured);
-            EXPECT_EQ(on.trajectory, off.trajectory);
-            const SearchResult on_t = run("1", threads, mean_objective);
-            EXPECT_EQ(on.trajectory, on_t.trajectory);
-            EXPECT_EQ(on.best_score_remeasured,
-                      on_t.best_score_remeasured);
+        const SearchResult one = run(1, mean_objective);
+        for (const std::size_t threads : {3u, 8u}) {
+            const SearchResult t = run(threads, mean_objective);
+            EXPECT_EQ(one.best_config, t.best_config);
+            EXPECT_EQ(one.best_score, t.best_score);
+            EXPECT_EQ(one.best_score_remeasured, t.best_score_remeasured);
+            EXPECT_EQ(one.trajectory, t.trajectory);
         }
     }
 }

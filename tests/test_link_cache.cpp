@@ -2,13 +2,14 @@
 // cached response must match the direct path-trace synthesis to within
 // 1e-12 relative error (it is in fact built to be bit-identical) across
 // random rooms, obstacle sets, every element load combination, endpoint
-// moves and injected faults.
+// moves, injected faults and multi-link scenes.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <cstdint>
 #include <vector>
 
+#include "core/link_cache.hpp"
 #include "core/scenarios.hpp"
 #include "core/system.hpp"
 #include "em/channel.hpp"
@@ -288,6 +289,68 @@ TEST(LinkCache, CoordinateDeltaPathMatchesRecomputeAndDirect) {
                 << "element " << e << " state " << s;
         }
     }
+}
+
+// System keeps ONE cache over all of its links, grouped by transmitter.
+// Every link's segment of it must match direct synthesis on the
+// multi-link scenes too — the 32-link panel (4 groups of 8) and the
+// four-link harmonization scene, whose 102 tones pad to 104.
+TEST(LinkCache, MultiLinkScenesMatchDirectSynthesis) {
+    MultiLinkScenario multi = make_multi_link_scenario(7);
+    HarmonizationScenario harmonization = make_harmonization_scenario(3);
+    for (System* system : {&multi.system, &harmonization.system}) {
+        const surface::ConfigSpace space =
+            system->medium().array(0).config_space();
+        util::Rng pick(41);
+        for (int trial = 0; trial < 2; ++trial) {
+            surface::Config c(space.num_elements());
+            for (std::size_t e = 0; e < c.size(); ++e)
+                c[e] = static_cast<int>(
+                    pick.uniform_int(0, space.radices()[e] - 1));
+            system->apply(0, c);
+            for (std::size_t id = 0; id < system->num_links(); ++id) {
+                const util::CVec cached = system->channel_response(id);
+                ASSERT_EQ(cached.size(),
+                          system->medium().ofdm().num_used());
+                EXPECT_LE(relative_error(cached,
+                                         direct_response(*system, id)),
+                          1e-12)
+                    << "link " << id << " trial " << trial;
+            }
+        }
+        EXPECT_EQ(system->cache_stats().misses, 1u);
+    }
+    const MultiLinkCache& cache = harmonization.system.multilink_cache();
+    EXPECT_EQ(cache.num_sc(), 102u);
+    EXPECT_EQ(cache.link_stride(), 104u);
+}
+
+// Observing after warm_multilink() reads the warm basis: no second,
+// per-link copy of it is built.
+TEST(LinkCache, ObserveTrueAfterWarmBuildsNothing) {
+    MultiLinkScenario scenario = make_multi_link_scenario(7);
+    scenario.system.warm_multilink();
+    EXPECT_EQ(scenario.system.cache_stats().misses, 1u);
+    const control::Observation obs = scenario.system.observe_true();
+    EXPECT_EQ(obs.link_snr_db.size(), scenario.num_links);
+    EXPECT_EQ(scenario.system.cache_stats().misses, 1u);
+    EXPECT_EQ(scenario.system.cache_stats().hits, scenario.num_links);
+}
+
+TEST(LinkCache, MultiLinkEndpointMoveRebuildsAndStaysExact) {
+    MultiLinkParams params;
+    params.num_aps = 2;
+    params.clients_per_ap = 3;
+    MultiLinkScenario scenario = make_multi_link_scenario(9, params);
+    System& system = scenario.system;
+    system.warm_multilink();
+    system.link(4).rx.position.y += 0.35;
+    for (std::size_t id = 0; id < system.num_links(); ++id)
+        EXPECT_LE(relative_error(system.channel_response(id),
+                                 direct_response(system, id)),
+                  1e-12)
+            << "link " << id;
+    EXPECT_EQ(system.cache_stats().misses, 2u);
 }
 
 TEST(LinkCache, SoundingMatchesUncachedMedium) {

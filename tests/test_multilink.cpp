@@ -406,6 +406,76 @@ TEST(MultiLinkSearch, BitIdenticalAcrossThreadsAndKernels) {
     }
 }
 
+// optimize_multilink is optimize_fast under another name: both entry
+// points return the same SearchResult bits for every scoring mode — a
+// masked single link (the RU mask must be honored by both), fused min
+// and mean, a composite max-min, and the general path.
+TEST(MultiLinkSearch, EntryPointsAgreeBitForBit) {
+    class UnfusedMinSnr : public control::Objective {
+    public:
+        double score(const Observation& obs) const override {
+            return control::MinSnrObjective(5).score(obs);
+        }
+        std::string name() const override { return "unfused-min-snr"; }
+    };
+    const auto expect_same = [](const SearchResult& a, const SearchResult& b,
+                                const char* what) {
+        EXPECT_EQ(a.best_config, b.best_config) << what;
+        EXPECT_EQ(a.best_score, b.best_score) << what;
+        EXPECT_EQ(a.best_score_remeasured, b.best_score_remeasured) << what;
+        EXPECT_EQ(a.evaluations, b.evaluations) << what;
+        EXPECT_EQ(a.trajectory, b.trajectory) << what;
+    };
+    const GreedyCoordinateDescent greedy;
+    const ControlPlaneModel plane = ControlPlaneModel::fast();
+
+    const control::MaskedSnrObjective masked(
+        make_wideband_scenario(33).mask, FusedSpec::Kind::kMinSnr);
+    SearchResult wide[2];
+    for (const bool multi : {false, true}) {
+        WidebandScenario scenario = make_wideband_scenario(33);
+        util::Rng rng(21);
+        wide[multi] =
+            (multi ? scenario.system.optimize_multilink(
+                         scenario.array_id, masked, greedy, plane, 0.05,
+                         rng, 1)
+                   : scenario.system.optimize_fast(scenario.array_id,
+                                                   masked, greedy, plane,
+                                                   0.05, rng, 1))
+                .search;
+    }
+    expect_same(wide[0], wide[1], "masked");
+    EXPECT_GT(wide[0].evaluations, 0u);
+
+    const control::MinSnrObjective min_snr(3);
+    const control::MeanSnrObjective mean_snr(12);
+    const auto max_min = control::make_max_min_objective(32);
+    const UnfusedMinSnr unfused;
+    const struct {
+        const control::Objective& objective;
+        const char* what;
+    } cases[] = {{min_snr, "min"},
+                 {mean_snr, "mean"},
+                 {*max_min, "max-min"},
+                 {unfused, "general"}};
+    for (const auto& c : cases) {
+        SearchResult r[2];
+        for (const bool multi : {false, true}) {
+            MultiLinkScenario scenario = make_multi_link_scenario(7);
+            util::Rng rng(17);
+            r[multi] = (multi ? scenario.system.optimize_multilink(
+                                    scenario.array_id, c.objective, greedy,
+                                    plane, 0.2, rng, 2)
+                              : scenario.system.optimize_fast(
+                                    scenario.array_id, c.objective, greedy,
+                                    plane, 0.2, rng, 2))
+                           .search;
+        }
+        expect_same(r[0], r[1], c.what);
+        EXPECT_GT(r[0].evaluations, 0u) << c.what;
+    }
+}
+
 // Shared-basis accounting: an optimize cycle rebuilds once, then every
 // batched evaluation is warm reads.
 TEST(MultiLinkSearch, SharedBasisStaysWarmAcrossSearch) {
@@ -422,7 +492,7 @@ TEST(MultiLinkSearch, SharedBasisStaysWarmAcrossSearch) {
         scenario.array_id, *objective, MajorityVoteSearcher(), plane,
         100.0 * trial_s, rng, 2);
     EXPECT_GT(outcome.search.evaluations, 0u);
-    const MultiLinkCache::Stats stats =
+    const System::MultiLinkStats stats =
         scenario.system.multilink_cache_stats();
     EXPECT_EQ(stats.rebuilds, 1u);
     EXPECT_GT(stats.hits, 0u);

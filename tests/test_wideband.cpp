@@ -11,7 +11,6 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "control/objective.hpp"
@@ -462,15 +461,12 @@ TEST(WidebandCache, GroupResponseRangesMatchesFullOnSpans) {
 
 // The tentpole reproducibility property: a masked greedy search over the
 // 996-tone scene lands on the same configuration, bit for bit, for any
-// thread count, either kernel flavor, and with the tile-bounded delta
-// path on or off (PRESS_DELTA) — the fused base-plus-row delta and the
-// recompute path add the swept row last on every covered tone.
-TEST(WidebandSearch, MaskedOptimizeBitIdenticalAcrossThreadsDeltaKernels) {
-    const auto run = [](std::size_t threads, const char* delta,
-                        Dispatch dispatch) {
+// thread count and either kernel flavor — the fused base-plus-row delta
+// adds the swept row last on every covered tone.
+TEST(WidebandSearch, MaskedOptimizeBitIdenticalAcrossThreadsAndKernels) {
+    const auto run = [](std::size_t threads, Dispatch dispatch) {
         const Dispatch before = kernels::active();
         kernels::set_dispatch(dispatch);
-        if (delta) ::setenv("PRESS_DELTA", delta, 1);
         core::WidebandScenario scenario = core::make_wideband_scenario(33);
         util::Rng rng(21);
         const auto outcome = scenario.system.optimize_fast(
@@ -479,27 +475,20 @@ TEST(WidebandSearch, MaskedOptimizeBitIdenticalAcrossThreadsDeltaKernels) {
                                control::FusedSpec::Kind::kMinSnr),
             GreedyCoordinateDescent(), ControlPlaneModel::fast(), 0.05,
             rng, threads);
-        if (delta) ::unsetenv("PRESS_DELTA");
         kernels::set_dispatch(before);
         return outcome.search;
     };
-    const SearchResult base = run(1, nullptr, Dispatch::kScalar);
+    const SearchResult base = run(1, Dispatch::kScalar);
     EXPECT_GT(base.evaluations, 0u);
     for (const std::size_t threads : {3u, 8u}) {
-        const SearchResult t = run(threads, nullptr, Dispatch::kScalar);
+        const SearchResult t = run(threads, Dispatch::kScalar);
         EXPECT_EQ(base.best_config, t.best_config);
         EXPECT_EQ(base.best_score, t.best_score);
         EXPECT_EQ(base.trajectory, t.trajectory);
     }
-    const SearchResult native = run(1, nullptr, Dispatch::kNative);
+    const SearchResult native = run(1, Dispatch::kNative);
     EXPECT_EQ(base.best_config, native.best_config);
     EXPECT_EQ(base.best_score, native.best_score);
-    for (const char* delta : {"0", "1"}) {
-        const SearchResult d = run(3, delta, Dispatch::kScalar);
-        EXPECT_EQ(base.best_config, d.best_config);
-        EXPECT_EQ(base.best_score, d.best_score);
-        EXPECT_EQ(base.trajectory, d.trajectory);
-    }
 }
 
 // ----------------------------------------------------------- FFT plans
