@@ -6,8 +6,6 @@
 // packet-level-timescale tension the paper describes ("PRESS will very
 // likely reap additional performance benefits from switching strategies on
 // packet-level timescales of one to two milliseconds").
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "control/scheduler.hpp"
@@ -97,34 +95,9 @@ void run_ablation() {
           "paper's agility/optimization spectrum.\n\n";
 }
 
-void BM_JointSchedule(benchmark::State& state) {
-    MultiLinkWorld world = make_world(100);
-    util::Rng rng(8000);
-    core::System& system = world.scenario.system;
-    const auto space =
-        system.medium().array(world.scenario.array_id).config_space();
-    const control::LinkEval eval = [&](std::size_t link,
-                                       const surface::Config& c) {
-        system.apply(world.scenario.array_id, c);
-        return phy::expected_throughput_mbps(
-            system.measured_snr_db(world.link_ids[link], rng));
-    };
-    const control::MultiLinkScheduler scheduler(
-        control::ControlPlaneModel::fast(), 2e-3);
-    for (auto _ : state) {
-        auto outcome = scheduler.run(control::MultiLinkStrategy::kJoint,
-                                     space, eval, world.link_ids.size(),
-                                     control::RandomSearcher(), 16, rng);
-        benchmark::DoNotOptimize(outcome.mean_effective_score);
-    }
-}
-BENCHMARK(BM_JointSchedule)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     run_ablation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
 //  (c) the conventional alternative the paper argues against: optimizing
 //      the endpoint instead of the environment, here a massive-MIMO-style
 //      switched antenna selection at the transmitter.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "control/search.hpp"
@@ -156,23 +154,11 @@ void run_endpoint_baseline() {
           "argument.\n\n";
 }
 
-void BM_ActiveScenarioSwing(benchmark::State& state) {
-    core::StudyParams los;
-    los.link_distance_m = 1.5;
-    core::LinkScenario scenario =
-        core::make_active_link_scenario(200, true, 20.0, los);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(core::max_true_swing_db(scenario));
-}
-BENCHMARK(BM_ActiveScenarioSwing)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     run_array_size();
     run_active_vs_passive();
     run_endpoint_baseline();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -8,8 +8,6 @@
 // spaced reflection phases plus the off state, search for the
 // configuration maximizing the worst-subcarrier SNR, and report the gain
 // over the all-off (environment-only) baseline.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "control/objective.hpp"
@@ -95,23 +93,9 @@ void run_ablation() {
           "granularity should show diminishing returns.\n\n";
 }
 
-void BM_GreedyAtGranularity(benchmark::State& state) {
-    const int phases = static_cast<int>(state.range(0));
-    core::LinkScenario scenario = core::make_link_scenario(100, false);
-    rebuild_array(scenario, phases);
-    util::Rng rng(900);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(best_min_snr(scenario, 256, rng));
-    }
-}
-BENCHMARK(BM_GreedyAtGranularity)->Arg(4)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     run_ablation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -9,8 +9,6 @@
 // model: the paper's prototype pace (~5 s per 64-config sweep) versus a
 // deployment-grade control plane, against the coherence times the paper
 // quotes (~80 ms quasi-static, ~6 ms at walking pace).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "control/controller.hpp"
@@ -102,32 +100,9 @@ void run_ablation() {
           "optimum.\n\n";
 }
 
-void BM_SearcherAtBudget(benchmark::State& state) {
-    const auto searchers = control::all_searchers();
-    const auto& searcher = *searchers[static_cast<std::size_t>(
-        state.range(0))];
-    core::LinkScenario scenario = make_big_scenario(120);
-    util::Rng rng(4000);
-    const surface::ConfigSpace space =
-        scenario.system.medium().array(scenario.array_id).config_space();
-    const control::EvalFn eval = [&](const surface::Config& c) {
-        scenario.system.apply(scenario.array_id, c);
-        return util::min_value(
-            scenario.system.measured_snr_db(scenario.link_id, rng));
-    };
-    for (auto _ : state) {
-        auto result = searcher.search(space, eval, 64, rng);
-        benchmark::DoNotOptimize(result.best_score);
-    }
-}
-BENCHMARK(BM_SearcherAtBudget)->DenseRange(0, 4)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     run_ablation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -7,8 +7,6 @@
 // — tens-of-dB swings at null subcarriers, movable nulls, a substantial
 // fraction of configuration pairs changing the worst subcarrier by >=10 dB
 // — must survive the substitution.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "core/experiments.hpp"
@@ -100,19 +98,9 @@ void run_ablation() {
           "paper's conclusions do not hinge on the ray tracer.\n\n";
 }
 
-void BM_SvRealization(benchmark::State& state) {
-    for (auto _ : state) {
-        core::LinkScenario scenario = core::make_sv_link_scenario(100);
-        benchmark::DoNotOptimize(&scenario.system);
-    }
-}
-BENCHMARK(BM_SvRealization)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     run_ablation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

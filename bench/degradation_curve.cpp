@@ -9,8 +9,6 @@
 // respond — and trusts configurations that flaky hardware never actually
 // assumed; with monitoring those dimensions are frozen and the same budget
 // concentrates on the elements that still work.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -146,49 +144,9 @@ void reproduce_figure() {
           "search budget.\n\n";
 }
 
-void BM_HealthProbe(benchmark::State& state) {
-    using namespace press;
-    core::LinkScenario scenario =
-        core::make_link_scenario(kPlacementSeed, false, wall_params());
-    util::Rng rng(1);
-    const auto plane = control::ControlPlaneModel::fast();
-    for (auto _ : state) {
-        auto report =
-            scenario.system.probe_health(scenario.array_id, plane, rng);
-        benchmark::DoNotOptimize(report.response_db.data());
-    }
-}
-BENCHMARK(BM_HealthProbe)->Unit(benchmark::kMillisecond);
-
-void BM_DegradedOptimize(benchmark::State& state) {
-    using namespace press;
-    core::LinkScenario scenario =
-        core::make_link_scenario(kPlacementSeed, false, wall_params());
-    util::Rng rng(2);
-    const auto plane = control::ControlPlaneModel::fast();
-    scenario.system.inject_faults(
-        scenario.array_id,
-        fault::FaultModel::sample(
-            scenario.system.medium().array(scenario.array_id).config_space(),
-            0.3, rng));
-    const fault::HealthReport report =
-        scenario.system.probe_health(scenario.array_id, plane, rng);
-    const control::MinSnrObjective objective(0);
-    const control::GreedyCoordinateDescent searcher;
-    for (auto _ : state) {
-        auto outcome = scenario.system.optimize_degraded(
-            scenario.array_id, objective, searcher, plane, kBudgetS,
-            report, rng);
-        benchmark::DoNotOptimize(outcome.search.evaluations);
-    }
-}
-BENCHMARK(BM_DegradedOptimize)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     reproduce_figure();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -5,8 +5,6 @@
 // section's headline numbers: "the largest change in the mean SNR on any
 // given subcarrier is 18.6 dB, and the largest change in the SNR within one
 // experimental repetition is 26 dB."
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "core/experiments.hpp"
@@ -81,38 +79,13 @@ void reproduce_figure() {
        << core::fmt(overall_trial_swing, 1) << " dB.\n\n";
 }
 
-void BM_ConfigSweep64x1(benchmark::State& state) {
-    using namespace press;
-    core::LinkScenario scenario = core::make_link_scenario(kBaseSeed, false);
-    util::Rng rng(1);
-    for (auto _ : state) {
-        core::ConfigSweep sweep =
-            core::sweep_configurations(scenario, 1, rng);
-        benchmark::DoNotOptimize(sweep.mean_snr_db.data());
-    }
-}
-BENCHMARK(BM_ConfigSweep64x1)->Unit(benchmark::kMillisecond);
-
-void BM_SingleSounding(benchmark::State& state) {
-    using namespace press;
-    core::LinkScenario scenario = core::make_link_scenario(kBaseSeed, false);
-    util::Rng rng(1);
-    for (auto _ : state) {
-        auto snr = scenario.system.measured_snr_db(scenario.link_id, rng);
-        benchmark::DoNotOptimize(snr.data());
-    }
-}
-BENCHMARK(BM_SingleSounding)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     reproduce_figure();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    // Telemetry accumulated by the figure reproduction and the timing
-    // section above (trace counts, cache activity, search convergence);
-    // no-op when PRESS_TELEMETRY is off.
+    // Telemetry accumulated by the figure reproduction above (trace
+    // counts, cache activity, search convergence); no-op when
+    // PRESS_TELEMETRY is off.
     const press::obs::RunManifest manifest =
         press::obs::RunManifest::capture("fig4_link_enhancement", kBaseSeed);
     const press::obs::RunExportPaths paths =

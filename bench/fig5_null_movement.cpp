@@ -4,8 +4,6 @@
 // separate experimental repetition." The paper computes this on the data
 // of its Figure 4(e); we use the placement whose statistics sit closest to
 // that panel's.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "core/experiments.hpp"
@@ -65,28 +63,13 @@ void reproduce_figure() {
        << " subcarriers.\n\n";
 }
 
-void BM_NullMovementAnalysis(benchmark::State& state) {
-    using namespace press;
-    core::LinkScenario scenario =
-        core::make_link_scenario(kPlacementSeed, false);
-    util::Rng rng(7000);
-    core::ConfigSweep sweep = core::sweep_configurations(scenario, 2, rng);
-    for (auto _ : state) {
-        auto moves = core::null_movements(sweep);
-        benchmark::DoNotOptimize(moves.data());
-    }
-}
-BENCHMARK(BM_NullMovementAnalysis)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     reproduce_figure();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    // Telemetry accumulated by the figure reproduction and the timing
-    // section above (trace counts, cache activity, search convergence);
-    // no-op when PRESS_TELEMETRY is off.
+    // Telemetry accumulated by the figure reproduction above (trace
+    // counts, cache activity, search convergence); no-op when
+    // PRESS_TELEMETRY is off.
     const press::obs::RunManifest manifest =
         press::obs::RunManifest::capture("fig5_null_movement", kPlacementSeed);
     const press::obs::RunExportPaths paths =

@@ -5,8 +5,6 @@
 // Headline shape: "Around 38% of the configuration changes cause a 10 dB
 // SNR change on at least one subcarrier, and less than 9% of the
 // configurations show a worst subcarrier channel gain below 20 dB."
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "core/experiments.hpp"
@@ -78,28 +76,13 @@ void reproduce_figure() {
        << "% of configurations have min SNR below 20 dB.\n\n";
 }
 
-void BM_MinSnrChangeAnalysis(benchmark::State& state) {
-    using namespace press;
-    core::LinkScenario scenario =
-        core::make_link_scenario(kPlacementSeed, false);
-    util::Rng rng(7000);
-    core::ConfigSweep sweep = core::sweep_configurations(scenario, 2, rng);
-    for (auto _ : state) {
-        auto changes = core::min_snr_changes(sweep);
-        benchmark::DoNotOptimize(changes.data());
-    }
-}
-BENCHMARK(BM_MinSnrChangeAnalysis)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     reproduce_figure();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    // Telemetry accumulated by the figure reproduction and the timing
-    // section above (trace counts, cache activity, search convergence);
-    // no-op when PRESS_TELEMETRY is off.
+    // Telemetry accumulated by the figure reproduction above (trace
+    // counts, cache activity, search convergence); no-op when
+    // PRESS_TELEMETRY is off.
     const press::obs::RunManifest manifest =
         press::obs::RunManifest::capture("fig6_min_snr", kPlacementSeed);
     const press::obs::RunExportPaths paths =

@@ -9,8 +9,6 @@
 // two co-located networks plus their interference channels, optimized with
 // the WeightedBandObjective so each network gets its own half of the band
 // while the cross-network channels are suppressed there.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "control/objective.hpp"
@@ -96,25 +94,13 @@ void reproduce_figure() {
        << " ms simulated control-plane time)\n\n";
 }
 
-void BM_HarmonizationCuration(benchmark::State& state) {
-    using namespace press;
-    for (auto _ : state) {
-        util::Rng rng(42);
-        auto pair = core::find_harmonization_pair(kBaseSeed, 5, 2.5, rng);
-        benchmark::DoNotOptimize(pair.found);
-    }
-}
-BENCHMARK(BM_HarmonizationCuration)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     reproduce_figure();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    // Telemetry accumulated by the figure reproduction and the timing
-    // section above (trace counts, cache activity, search convergence);
-    // no-op when PRESS_TELEMETRY is off.
+    // Telemetry accumulated by the figure reproduction above (trace
+    // counts, cache activity, search convergence); no-op when
+    // PRESS_TELEMETRY is off.
     const press::obs::RunManifest manifest =
         press::obs::RunManifest::capture("fig7_harmonization", kBaseSeed);
     const press::obs::RunExportPaths paths =

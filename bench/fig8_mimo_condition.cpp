@@ -3,8 +3,6 @@
 // a separate PRESS phase setting, with the phase settings demonstrating the
 // best (lowest) and worst (highest) condition numbers appearing thicker and
 // in color." Headline: PRESS changes the 2x2 condition number by ~1.5 dB.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "core/experiments.hpp"
@@ -89,42 +87,13 @@ void reproduce_figure() {
        << " b/s/Hz.\n\n";
 }
 
-void BM_MimoSounding2x2(benchmark::State& state) {
-    using namespace press;
-    core::MimoScenario scenario = core::make_mimo_scenario(kSeed);
-    util::Rng rng(9);
-    for (auto _ : state) {
-        auto est = scenario.medium.sound_mimo(scenario.tx_antennas,
-                                              scenario.rx_antennas,
-                                              scenario.profile, 1, rng);
-        benchmark::DoNotOptimize(est.h.data());
-    }
-}
-BENCHMARK(BM_MimoSounding2x2)->Unit(benchmark::kMicrosecond);
-
-void BM_ConditionNumbers(benchmark::State& state) {
-    using namespace press;
-    core::MimoScenario scenario = core::make_mimo_scenario(kSeed);
-    util::Rng rng(9);
-    auto est = scenario.medium.sound_mimo(scenario.tx_antennas,
-                                          scenario.rx_antennas,
-                                          scenario.profile, 1, rng);
-    for (auto _ : state) {
-        auto cond = phy::condition_numbers_db(est);
-        benchmark::DoNotOptimize(cond.data());
-    }
-}
-BENCHMARK(BM_ConditionNumbers)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     reproduce_figure();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    // Telemetry accumulated by the figure reproduction and the timing
-    // section above (trace counts, cache activity, search convergence);
-    // no-op when PRESS_TELEMETRY is off.
+    // Telemetry accumulated by the figure reproduction above (trace
+    // counts, cache activity, search convergence); no-op when
+    // PRESS_TELEMETRY is off.
     const press::obs::RunManifest manifest =
         press::obs::RunManifest::capture("fig8_mimo_condition", kSeed);
     const press::obs::RunExportPaths paths =

@@ -1,49 +1,31 @@
-// Machine-readable performance snapshot of the factored-cache evaluation
-// path, written to BENCH_observe.json for CI trend tracking.
+// Gate binary: the invariants CI enforces on the running system. Each
+// gate prints one line; any FAIL exits 1.
 //
-// Five per-evaluation costs are timed on the paper's fig4 and fig6
-// scenes (seeds 100 and 116, non-line-of-sight):
+//   allocations    no heap allocation inside any warmed steady-state
+//                  loop: the fig4 and fig6 gathers and coordinate deltas,
+//                  fig7's general-objective candidate, the 1,024-element
+//                  scene's tiled gather and delta, both wideband variants'
+//                  full and tile-bounded gathers and deltas and planned
+//                  FFT, the multi-user scene's shared-basis and per-link
+//                  reads, and the Timeseries::sample() sweep;
+//   per-tone       the 996-tone masked coordinate delta costs no more per
+//                  tone than fig4's 52-tone copy-then-add (DESIGN.md §15);
+//   plane cost     a live telemetry subscriber costs the service at most
+//                  2% of its time;
+//   ledger         every request the service admitted is accounted for;
+//   introspection  a deadline-miss burst raises the SLO alarm, taps the
+//                  subscriber and streams a burn series, and every
+//                  streamed frame validates with none dropped.
 //
-//   trace    a full image-method re-trace of the scene plus CFR synthesis
-//            (the cost when geometry is assumed dirty every evaluation),
-//   resynth  CFR synthesis from a warm path resolve (the pre-cache
-//            System::observe hot path: environment paths memoized, array
-//            paths re-derived and every path re-synthesized per call),
-//   cached   the legacy AoS recombination H = H_static + B.g(config)
-//            through response_with (allocates its result per call),
-//   soa      the same recombination through response_into into a reused
-//            split-complex scratch (the batch workers' full-gather path),
-//   delta    one coordinate-sweep candidate on the incremental path:
-//            copy the coordinate's cached base, add the swept row.
-//
-// The soa and delta loops run under a global operator-new counter and the
-// process FAILS (exit 1) if a steady-state candidate allocates — that is
-// the zero-allocation contract, gated here rather than asserted in prose.
-// A fig7 harmonization scene (4 links, general objective path) rides
-// along so the fused single-link path and the Observation path are both
-// tracked. Then two full greedy searches are timed end to end: the serial
-// controller (actuate + measure per trial) against System::optimize_fast
-// (cache + BatchEvaluator). A control-plane service sweep closes the
-// run: a closed loop over control::Service measures request throughput
-// and the queue-wait/compute latency split, with a deterministic
-// overload burst so the reject/expiry counters the baseline gates hold
-// exact values. A massive-element scene (1,024 two-state elements, the
-// RFocus regime) closes the perf sections: tiled-basis gather and delta
-// costs under the same allocation gate, a BatchEvaluator thread-scaling
-// curve, and a greedy-vs-majority-vote search comparison (the vote
-// searcher must reach >=95% of greedy's objective on <=25% of its
-// evaluations). A multi-user fig-harmonization scene (32 links, 4 APs,
-// one shared element field) times the MultiLinkCache's wide group
-// gathers against 32 naive per-link reads under the same allocation
-// gate, and runs two optimize_multilink max-min fairness searches end
-// to end. A wideband scene (Wi-Fi 6E 160 MHz / Wi-Fi 7 320 MHz, 996 and
-// 1960 used tones under a punctured RU mask) times the tone-axis regime:
-// full vs tile-bounded masked gathers and deltas, planned FFT execution,
-// and the per-TONE cost acceptance gate (growing the tone axis 19-38x
-// may not regress the per-tone incremental-candidate cost past the
-// 52-tone fig4 scene's). Timings are informational; the allocation
-// gate, the per-tone gate and the service's no-silent-drops ledger fail
-// the run.
+// The clock is read only where a gate needs a cost: the per-tone gate
+// and the plane cost's unit costs. Timing the system is perfbench's job
+// (python3 perfbench/run.py). Between the gates the run performs one
+// untimed end-to-end search per optimize_fast mode (greedy coordinate
+// delta, majority vote, masked, composite max-min greedy and vote, the
+// general Observation path) and one subscribed closed-loop service sweep
+// with an overload burst. Their counters go to
+// telemetry_perf_snapshot.json, which bench_diff checks against
+// bench/baselines/perf_snapshot.json.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -54,13 +36,11 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
-#include <thread>
 #include <variant>
 #include <vector>
 
-#include "control/batch.hpp"
-#include "control/controller.hpp"
 #include "control/objective.hpp"
 #include "control/plane.hpp"
 #include "control/scratch.hpp"
@@ -70,12 +50,10 @@
 #include "core/scenarios.hpp"
 #include "core/serve.hpp"
 #include "core/system.hpp"
-#include "em/channel.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
-#include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "phy/chanest.hpp"
 #include "phy/ofdm.hpp"
@@ -85,291 +63,187 @@
 #include "util/rng.hpp"
 
 // ------------------------------------------------------------------
-// Global allocation counter: every operator-new form funnels through
-// malloc here and bumps one relaxed atomic, so a timed loop can assert
-// it allocated nothing. Deletes are free-and-forget (no counting needed;
-// an allocation on the hot path is the defect, matching frees included).
+// Global allocation counter. Both replaced operator-new forms bump one
+// relaxed atomic; libstdc++ routes the array and nothrow forms through
+// them. Kept out of line, so the compiler never pairs an inlined malloc
+// or free with the other half of a new/delete.
 // ------------------------------------------------------------------
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size ? size : 1)) return p;
     throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     std::align_val_t align) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                      size ? size : 1))
         return p;
     throw std::bad_alloc();
 }
-void* operator new[](std::size_t size, std::align_val_t align) {
-    return ::operator new(size, align);
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-    return ::operator new(size, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
     std::free(p);
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
     std::free(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-    std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
     std::free(p);
 }
 
 namespace {
 
 using namespace press;
+namespace kernels = util::kernels;
 using Clock = std::chrono::steady_clock;
+constexpr kernels::Dispatch kD = kernels::active();
 
-std::uint64_t allocations() {
-    return g_allocations.load(std::memory_order_relaxed);
+/// Heap allocations per gated loop, in run order.
+std::vector<std::pair<std::string, std::uint64_t>> g_gated;
+
+/// Runs `body(i)` once to warm its scratch, then `iters` more times with
+/// the allocation counter armed, and records what those calls allocated.
+template <typename Body>
+void gate_allocations(const std::string& loop, std::size_t iters,
+                      Body&& body) {
+    body(std::size_t{0});
+    const std::uint64_t armed = g_allocations.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < iters; ++i) body(i);
+    const std::uint64_t made =
+        g_allocations.load(std::memory_order_relaxed) - armed;
+    g_gated.emplace_back(loop, made);
 }
 
-double elapsed_us(Clock::time_point t0, Clock::time_point t1,
-                  std::size_t iterations) {
-    return std::chrono::duration<double, std::micro>(t1 - t0).count() /
-           static_cast<double>(iterations);
+/// Wall time per call of `body(i)` over `iters` calls, in µs.
+template <typename Body>
+double time_us(std::size_t iters, Body&& body) {
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < iters; ++i) body(i);
+    return std::chrono::duration<double, std::micro>(Clock::now() - t0)
+               .count() /
+           static_cast<double>(iters);
 }
 
-struct SceneSnapshot {
-    std::string name;
-    std::uint64_t seed = 0;
-    double trace_eval_us = 0.0;
-    double resynth_eval_us = 0.0;
-    double cached_eval_us = 0.0;
-    double cached_eval_off_us = 0.0;  ///< same loop, telemetry disabled
-    double soa_eval_us = 0.0;    ///< response_into, reused scratch
-    double delta_eval_us = 0.0;  ///< cached base copy + one row-add
-    std::uint64_t sweep_allocs = 0;  ///< heap allocs in the gated loops
-    double telemetry_overhead_pct = 0.0;
-    double search_serial_ms = 0.0;
-    double search_batched_ms = 0.0;
-    std::size_t search_serial_evals = 0;
-    std::size_t search_batched_evals = 0;
-};
-
-SceneSnapshot snapshot_scene(const std::string& name, std::uint64_t seed) {
-    SceneSnapshot snap;
-    snap.name = name;
-    snap.seed = seed;
-
-    core::LinkScenario scenario =
-        core::make_link_scenario(seed, /*line_of_sight=*/false);
-    const sdr::Medium& medium = scenario.system.medium();
-    const sdr::Link& link = scenario.system.link(scenario.link_id);
-    const std::vector<double> freqs = medium.ofdm().used_frequencies_hz();
-    const double carrier = medium.ofdm().carrier_hz();
-    const surface::Array& array = medium.array(scenario.array_id);
-
-    constexpr std::size_t kTraceIters = 200;
-    constexpr std::size_t kEvalIters = 2000;
-
-    {   // Full re-trace per evaluation.
-        auto t0 = Clock::now();
-        for (std::size_t i = 0; i < kTraceIters; ++i) {
-            std::vector<em::Path> paths =
-                medium.environment().trace(link.tx, link.rx, carrier);
-            const std::vector<em::Path> extra =
-                array.paths(medium.environment(), link.tx, link.rx,
-                            carrier);
-            paths.insert(paths.end(), extra.begin(), extra.end());
-            volatile double sink =
-                em::frequency_response(paths, freqs)[0].real();
-            (void)sink;
-        }
-        snap.trace_eval_us = elapsed_us(t0, Clock::now(), kTraceIters);
+/// `count` candidate configs drawn element-wise (the massive scene's 2^n
+/// space cannot be enumerated, so no scene here calls ConfigSpace::at()).
+std::vector<surface::Config> random_configs(const surface::ConfigSpace& space,
+                                            std::size_t count,
+                                            std::uint64_t seed) {
+    util::Rng rng(seed);
+    const std::vector<int>& radices = space.radices();
+    std::vector<surface::Config> configs(count);
+    for (surface::Config& c : configs) {
+        c.resize(space.num_elements());
+        for (std::size_t e = 0; e < c.size(); ++e)
+            c[e] = static_cast<int>(rng.uniform_int(0, radices[e] - 1));
     }
+    return configs;
+}
 
-    {   // Warm path resolve, fresh synthesis per evaluation.
-        (void)medium.resolve_paths(link);  // warm the environment memo
-        auto t0 = Clock::now();
-        for (std::size_t i = 0; i < kTraceIters; ++i) {
-            volatile double sink =
-                em::frequency_response(medium.resolve_paths(link), freqs)[0]
-                    .real();
-            (void)sink;
-        }
-        snap.resynth_eval_us = elapsed_us(t0, Clock::now(), kTraceIters);
-    }
+/// Per-candidate loops of one link: the batch workers' full gather into a
+/// reused split-complex scratch, the coordinate delta (copy the cached
+/// base, add the swept row), and on wideband scenes the fused and
+/// tile-bounded forms of both.
+struct LinkLoops {
+    const sdr::Medium& medium;
+    std::size_t array_id, link_id;
+    const sdr::Link& link;
+    int radix = 0;  ///< states of the swept element 0
+    core::LinkCache cache;
+    std::vector<surface::Config> configs;
+    std::vector<kernels::IndexRange> spans;  ///< a mask's tile spans
+    kernels::SplitVec h, base, cand, mbase, mcand;
 
-    {   // Factored-cache recombination per evaluation, timed with the
-        // telemetry instrumentation both off and on. The cached read path
-        // itself is instrumentation-free by design; what "on" adds is the
-        // batch-granularity hit fold optimize_fast performs (one relaxed
-        // add per kFoldBatch reads), so the on/off delta is the real
-        // overhead a telemetry-enabled search pays on this path.
-        core::LinkCache cache;
-        cache.warm(medium, scenario.link_id, link);
-        const surface::ConfigSpace space = array.config_space();
-        constexpr std::size_t kFoldBatch = 64;
-        constexpr std::size_t kOverheadIters = 20000;
-        const auto run = [&](bool telemetry_on, std::size_t iters) {
-            obs::set_enabled(telemetry_on);
-            auto t0 = Clock::now();
-            for (std::size_t i = 0; i < iters; ++i) {
-                volatile double sink =
-                    cache
-                        .response_with(medium, scenario.link_id, link,
-                                       scenario.array_id,
-                                       space.at(i % space.size()))[0]
-                        .real();
-                (void)sink;
-                if (telemetry_on && (i + 1) % kFoldBatch == 0)
-                    cache.note_batch_hits(kFoldBatch);
-            }
-            return elapsed_us(t0, Clock::now(), iters);
-        };
-        (void)run(false, kEvalIters);  // warm both code paths
-        (void)run(true, kEvalIters);
-        // A ~0.2 us/call loop is at the mercy of scheduler noise, so the
-        // overhead comparison interleaves the two variants and keeps each
-        // one's best (least-disturbed) time.
-        double off_us = run(false, kOverheadIters);
-        double on_us = run(true, kOverheadIters);
-        for (int rep = 0; rep < 2; ++rep) {
-            off_us = std::min(off_us, run(false, kOverheadIters));
-            on_us = std::min(on_us, run(true, kOverheadIters));
-        }
-        snap.cached_eval_off_us = off_us;
-        snap.cached_eval_us = on_us;
-        snap.telemetry_overhead_pct = (on_us - off_us) / off_us * 100.0;
-    }
-
-    {   // The batch workers' actual per-candidate costs, run under the
-        // allocation gate: full SoA gather into reused scratch, then the
-        // incremental coordinate-delta form (copy the cached base, add
-        // the swept row). Candidate configs are pre-expanded so the gate
-        // sees only the scoring arithmetic, not ConfigSpace::at().
-        core::LinkCache cache;
-        cache.warm(medium, scenario.link_id, link);
-        const surface::ConfigSpace space = array.config_space();
-        constexpr std::size_t kConfigCycle = 64;
-        std::vector<surface::Config> configs;
-        configs.reserve(kConfigCycle);
-        for (std::size_t i = 0; i < kConfigCycle; ++i)
-            configs.push_back(space.at(i % space.size()));
-
-        util::kernels::SplitVec h;
-        cache.response_into(medium, scenario.link_id, link,
-                            scenario.array_id, configs[0], h);
-        std::uint64_t armed = allocations();
-        auto t0 = Clock::now();
-        for (std::size_t i = 0; i < kEvalIters; ++i) {
-            cache.response_into(medium, scenario.link_id, link,
-                                scenario.array_id,
-                                configs[i % kConfigCycle], h);
-            volatile double sink = h.re[0];
-            (void)sink;
-        }
-        snap.soa_eval_us = elapsed_us(t0, Clock::now(), kEvalIters);
-        snap.sweep_allocs += allocations() - armed;
-
-        util::kernels::SplitVec base, cand;
-        cache.response_base_into(medium, scenario.link_id, link,
-                                 scenario.array_id, configs[0],
-                                 /*element=*/0, base);
-        cand.resize(base.size());
-        const int radix = space.radices()[0];
-        armed = allocations();
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kEvalIters; ++i) {
-            util::kernels::copy(util::kernels::active(), base.re.data(),
-                                base.im.data(), cand.re.data(),
-                                cand.im.data(), base.size());
-            cache.accumulate_element_row(scenario.link_id,
-                                         scenario.array_id, /*element=*/0,
-                                         static_cast<int>(i % radix), cand);
-            volatile double sink = cand.re[0];
-            (void)sink;
-        }
-        snap.delta_eval_us = elapsed_us(t0, Clock::now(), kEvalIters);
-        snap.sweep_allocs += allocations() - armed;
-    }
-
-    // End-to-end greedy searches under the same simulated budget.
-    const control::MinSnrObjective objective(0);
-    const control::GreedyCoordinateDescent searcher;
-    const double budget_s = 2.0;
-    {
-        // The pre-cache hot path: every trial actuates the array and
-        // re-synthesizes each link's CFR from a fresh path resolve.
-        core::LinkScenario fresh = core::make_link_scenario(seed, false);
-        core::System& system = fresh.system;
-        util::Rng rng(9000 + seed);
-        control::Controller controller(
-            control::ControlPlaneModel::fast(),
-            [&](const surface::Config& c) {
-                system.apply(fresh.array_id, c);
-                return true;
-            },
-            [&]() {
-                control::Observation obs;
-                for (std::size_t i = 0; i < system.num_links(); ++i)
-                    obs.link_snr_db.push_back(
-                        system.medium()
-                            .sound(system.link(i),
-                                   system.sounding_repeats(), rng)
-                            .snr_db());
-                return obs;
-            },
-            system.num_links(), system.medium().ofdm().num_used());
+    LinkLoops(const core::System& system, std::size_t array,
+              std::size_t link_index, std::size_t num_configs,
+              std::uint64_t config_seed)
+        : medium(system.medium()),
+          array_id(array),
+          link_id(link_index),
+          link(system.link(link_index)) {
         const surface::ConfigSpace space =
-            system.medium().array(fresh.array_id).config_space();
-        auto t0 = Clock::now();
-        const auto outcome = controller.optimize(space, objective,
-                                                 searcher, budget_s, rng);
-        snap.search_serial_ms =
-            elapsed_us(t0, Clock::now(), 1) / 1000.0;
-        snap.search_serial_evals = outcome.search.evaluations;
+            medium.array(array_id).config_space();
+        radix = space.radices()[0];
+        cache.warm(medium, link_id, link);
+        configs = random_configs(space, num_configs, config_seed);
+        cache.response_base_into(medium, link_id, link, array_id,
+                                 configs[0], /*element=*/0, base);
+        cand.resize(base.size());
     }
-    {
-        core::LinkScenario fresh = core::make_link_scenario(seed, false);
-        util::Rng rng(9000 + seed);
-        auto t0 = Clock::now();
-        const auto outcome = fresh.system.optimize_fast(
-            fresh.array_id, objective, searcher,
-            control::ControlPlaneModel::fast(), budget_s, rng);
-        snap.search_batched_ms =
-            elapsed_us(t0, Clock::now(), 1) / 1000.0;
-        snap.search_batched_evals = outcome.search.evaluations;
-    }
-    return snap;
-}
 
-// The fig7 harmonization scene exercises the path the fused single-link
-// shortcut cannot take: four links scored through a full Observation.
-// Timed per candidate: 4 x (response_into + sounding draws + LTF
-// combining + SNR span), all into one reused EvalScratch, under the same
-// allocation gate as the single-link sweeps.
-struct Fig7Snapshot {
-    double general_eval_us = 0.0;
-    std::uint64_t sweep_allocs = 0;
-    double search_batched_ms = 0.0;
-    std::size_t search_batched_evals = 0;
+    void use_spans(const phy::RuMask& mask) {
+        for (const phy::RuRange& r :
+             mask.tile_spans(core::LinkCache::kTileSubcarriers))
+            spans.push_back({r.first, r.last - r.first});
+        cache.response_base_ranges_into(medium, link_id, link, array_id,
+                                        configs[0], /*element=*/0,
+                                        spans.data(), spans.size(), mbase);
+        mcand.resize(mbase.size());
+    }
+
+    const surface::Config& config(std::size_t i) const {
+        return configs[i % configs.size()];
+    }
+    int state(std::size_t i) const { return static_cast<int>(i) % radix; }
+
+    void gather(std::size_t i) {
+        cache.response_into(medium, link_id, link, array_id, config(i), h);
+    }
+    void delta(std::size_t i) {
+        kernels::copy(kD, base.re.data(), base.im.data(), cand.re.data(),
+                      cand.im.data(), base.size());
+        cache.accumulate_element_row(link_id, array_id, 0, state(i), cand);
+    }
+    void masked_gather(std::size_t i) {
+        cache.response_ranges_into(medium, link_id, link, array_id,
+                                   config(i), spans.data(), spans.size(),
+                                   h);
+    }
+    void fused_delta(std::size_t i) {
+        cache.element_row_delta(link_id, array_id, 0, state(i), base, cand);
+    }
+    void masked_delta(std::size_t i) {
+        cache.element_row_delta_ranges(link_id, array_id, 0, state(i),
+                                       spans.data(), spans.size(), mbase,
+                                       mcand);
+    }
 };
 
-Fig7Snapshot snapshot_fig7(std::uint64_t seed) {
-    Fig7Snapshot snap;
+constexpr std::size_t kEvalIters = 2000;
+
+/// A narrowband scene's gather and delta under the allocation gate.
+void gate_link_loops(const std::string& scene, LinkLoops& loops) {
+    gate_allocations(scene + " gather", kEvalIters,
+                     [&](std::size_t i) { loops.gather(i); });
+    gate_allocations(scene + " delta", kEvalIters,
+                     [&](std::size_t i) { loops.delta(i); });
+}
+
+/// The simulated budget of `trials` configuration trials on `array_id`.
+double trial_budget_s(const core::System& system, std::size_t array_id,
+                      std::size_t num_links, double trials) {
+    const control::ControlPlaneModel plane =
+        control::ControlPlaneModel::fast();
+    control::SetConfig probe;
+    probe.array_id = static_cast<std::uint16_t>(array_id);
+    probe.config.assign(
+        system.medium().array(array_id).config_space().num_elements(), 0);
+    return trials * plane.config_trial_time_s(
+                        probe, num_links,
+                        system.medium().ofdm().num_used());
+}
+
+/// The fig7 harmonization scene: four links scored through a full
+/// Observation, the path the fused single-link shortcut cannot take. One
+/// candidate = 4 x (response_into + sounding draws + LTF combining + SNR
+/// span), all into one reused EvalScratch, then the end-to-end search.
+void run_fig7(std::uint64_t seed) {
     core::HarmonizationScenario scenario =
         core::make_harmonization_scenario(seed);
     const core::System& system = scenario.system;
@@ -377,8 +251,6 @@ Fig7Snapshot snapshot_fig7(std::uint64_t seed) {
     const std::size_t num_links = system.num_links();
     const std::size_t n = medium.ofdm().num_used();
     const std::size_t repeats = system.sounding_repeats();
-    const surface::Array& array = medium.array(scenario.array_id);
-    const surface::ConfigSpace space = array.config_space();
 
     core::LinkCache cache;
     std::vector<double> link_noise(num_links);
@@ -386,22 +258,15 @@ Fig7Snapshot snapshot_fig7(std::uint64_t seed) {
         cache.warm(medium, i, system.link(i));
         link_noise[i] = medium.estimate_noise_variance(system.link(i));
     }
-
-    constexpr std::size_t kEvalIters = 500;
-    constexpr std::size_t kConfigCycle = 64;
-    std::vector<surface::Config> configs;
-    configs.reserve(kConfigCycle);
-    for (std::size_t i = 0; i < kConfigCycle; ++i)
-        configs.push_back(space.at(i % space.size()));
+    const std::vector<surface::Config> configs = random_configs(
+        medium.array(scenario.array_id).config_space(), 64, 4200 + seed);
 
     util::Rng rng(4200 + seed);
     control::EvalScratch s;
-    const util::kernels::Dispatch d = util::kernels::active();
-    const auto score_candidate = [&](const surface::Config& c) {
-        double acc = 0.0;
+    gate_allocations("fig7 general candidate", 500, [&](std::size_t c) {
         for (std::size_t i = 0; i < num_links; ++i) {
-            cache.response_into(medium, i, system.link(i),
-                                scenario.array_id, c, s.h);
+            cache.response_into(medium, i, system.link(i), scenario.array_id,
+                                configs[c % configs.size()], s.h);
             s.resize_tracked(s.raw_re, repeats * n);
             s.resize_tracked(s.raw_im, repeats * n);
             s.resize_tracked(s.mean_re, n);
@@ -415,94 +280,201 @@ Fig7Snapshot snapshot_fig7(std::uint64_t seed) {
                     s.raw_re[r * n + k] = s.h.re[k] + w.real();
                     s.raw_im[r * n + k] = s.h.im[k] + w.imag();
                 }
-            util::kernels::ltf_mean_var(d, s.raw_re.data(), s.raw_im.data(),
-                                        repeats, n, s.mean_re.data(),
-                                        s.mean_im.data(),
-                                        s.noise_var.data());
-            util::kernels::snr_db_into(d, s.mean_re.data(), s.mean_im.data(),
-                                       s.noise_var.data(), n,
-                                       phy::kSnrCapDb, phy::kSnrFloorDb,
-                                       s.snr_db.data());
-            acc += util::kernels::mean(d, s.snr_db.data(), n);
+            kernels::ltf_mean_var(kD, s.raw_re.data(), s.raw_im.data(),
+                                  repeats, n, s.mean_re.data(),
+                                  s.mean_im.data(), s.noise_var.data());
+            kernels::snr_db_into(kD, s.mean_re.data(), s.mean_im.data(),
+                                 s.noise_var.data(), n, phy::kSnrCapDb,
+                                 phy::kSnrFloorDb, s.snr_db.data());
+            volatile double sink = kernels::mean(kD, s.snr_db.data(), n);
+            (void)sink;
         }
-        return acc;
-    };
-    (void)score_candidate(configs[0]);  // warm every scratch buffer
-    const std::uint64_t armed = allocations();
-    auto t0 = Clock::now();
-    for (std::size_t i = 0; i < kEvalIters; ++i) {
-        volatile double sink = score_candidate(configs[i % kConfigCycle]);
+    });
+
+    // End-to-end search on the general objective path: no fused spec,
+    // four links per candidate.
+    core::HarmonizationScenario fresh = core::make_harmonization_scenario(seed);
+    const std::unique_ptr<control::Objective> objective =
+        control::make_harmonization_objective(n, /*interference_links=*/true);
+    util::Rng srng(9000 + seed);
+    (void)fresh.system.optimize_fast(
+        fresh.array_id, *objective, control::GreedyCoordinateDescent(),
+        control::ControlPlaneModel::fast(), /*budget_s=*/1.0, srng);
+}
+
+/// The 1,024-element two-state scene (RFocus regime): tiled gather and
+/// coordinate delta under the allocation gate, then a majority-vote
+/// search at 1,024 trials.
+void run_massive(std::uint64_t seed) {
+    core::LinkScenario scenario = core::make_massive_scenario(1024, seed);
+    LinkLoops loops(scenario.system, scenario.array_id, scenario.link_id, 32,
+                    1234 + seed);
+    gate_link_loops("massive", loops);
+
+    util::Rng rng(9100 + seed);
+    (void)scenario.system.optimize_fast(
+        scenario.array_id, control::MinSnrObjective(0),
+        control::MajorityVoteSearcher(), control::ControlPlaneModel::fast(),
+        trial_budget_s(scenario.system, scenario.array_id, 1, 1024.0), rng);
+}
+
+/// The wideband scene's full-width and tile-bounded gathers and fused
+/// deltas, plus a planned n-point FFT (the FftPlan cache's
+/// zero-steady-state-allocation claim), under the allocation gate.
+void gate_wideband_loops(const std::string& band, LinkLoops& loops) {
+    gate_allocations(band + " gather", kEvalIters,
+                     [&](std::size_t i) { loops.gather(i); });
+    gate_allocations(band + " masked gather", kEvalIters,
+                     [&](std::size_t i) { loops.masked_gather(i); });
+    gate_allocations(band + " fused delta", kEvalIters,
+                     [&](std::size_t i) { loops.fused_delta(i); });
+    gate_allocations(band + " masked delta", kEvalIters,
+                     [&](std::size_t i) { loops.masked_delta(i); });
+
+    const std::size_t fft_size = loops.medium.ofdm().fft_size();
+    const util::FftPlan& plan = util::plan_for(fft_size);
+    util::Rng rng(77);
+    util::CVec x(fft_size);
+    for (auto& v : x) v = rng.complex_gaussian(1.0);
+    util::CVec out;
+    util::FftScratch scratch;
+    gate_allocations(band + " planned fft", 400,
+                     [&](std::size_t) { plan.forward(x, out, scratch); });
+}
+
+/// The multi-user scene (32 links, 4 APs, one 16-element panel): the
+/// shared basis's wide group reads and 32 per-link reads, both scored by
+/// the same max-min reduction under the allocation gate, then max-min
+/// searches through optimize_multilink, greedy and vote.
+void run_harmonization(std::uint64_t seed) {
+    core::MultiLinkScenario scenario = core::make_multi_link_scenario(seed);
+    core::System& system = scenario.system;
+    const sdr::Medium& medium = system.medium();
+    system.warm_multilink();
+    const core::MultiLinkCache& shared = system.multilink_cache();
+    const std::size_t num_sc = shared.num_sc();
+    core::LinkCache per_link;
+    for (std::size_t i = 0; i < scenario.num_links; ++i)
+        per_link.warm(medium, i, system.link(i));
+    const std::vector<surface::Config> configs = random_configs(
+        medium.array(scenario.array_id).config_space(), 64, 4300 + seed);
+
+    std::vector<kernels::SplitVec> wide(shared.num_groups());
+    gate_allocations("harmonization shared reads", 1000, [&](std::size_t c) {
+        double worst = std::numeric_limits<double>::infinity();
+        for (std::size_t g = 0; g < shared.num_groups(); ++g) {
+            shared.group_response_into(medium, g, scenario.array_id,
+                                       configs[c % configs.size()], wide[g]);
+            for (const std::size_t id : shared.group_links(g)) {
+                const std::size_t off = shared.view(id).offset;
+                worst = std::min(worst, kernels::abs2_mean(
+                                            kD, wide[g].re.data() + off,
+                                            wide[g].im.data() + off, num_sc));
+            }
+        }
+        volatile double sink = worst;
         (void)sink;
-    }
-    snap.general_eval_us = elapsed_us(t0, Clock::now(), kEvalIters);
-    snap.sweep_allocs = allocations() - armed;
+    });
+    kernels::SplitVec h;
+    gate_allocations("harmonization per-link reads", 1000,
+                     [&](std::size_t c) {
+        double worst = std::numeric_limits<double>::infinity();
+        for (std::size_t i = 0; i < scenario.num_links; ++i) {
+            per_link.response_into(medium, i, system.link(i),
+                                   scenario.array_id,
+                                   configs[c % configs.size()], h);
+            worst = std::min(worst, kernels::abs2_mean(kD, h.re.data(),
+                                                       h.im.data(), num_sc));
+        }
+        volatile double sink = worst;
+        (void)sink;
+    });
 
-    {   // End-to-end batched harmonization search (general objective
-        // path: no fused spec, four links per candidate).
-        core::HarmonizationScenario fresh =
-            core::make_harmonization_scenario(seed);
-        const std::unique_ptr<control::Objective> objective =
-            control::make_harmonization_objective(
-                fresh.system.medium().ofdm().num_used(),
-                /*interference_links=*/true);
-        const control::GreedyCoordinateDescent searcher;
-        util::Rng srng(9000 + seed);
-        auto st0 = Clock::now();
-        const auto outcome = fresh.system.optimize_fast(
+    const std::unique_ptr<control::Objective> objective =
+        control::make_max_min_objective(scenario.num_links);
+    const auto search = [&](const control::Searcher& searcher,
+                            double trials) {
+        core::MultiLinkScenario fresh = core::make_multi_link_scenario(seed);
+        util::Rng rng(9200 + seed);
+        (void)fresh.system.optimize_multilink(
             fresh.array_id, *objective, searcher,
-            control::ControlPlaneModel::fast(), /*budget_s=*/1.0, srng);
-        snap.search_batched_ms = elapsed_us(st0, Clock::now(), 1) / 1000.0;
-        snap.search_batched_evals = outcome.search.evaluations;
-    }
-    return snap;
+            control::ControlPlaneModel::fast(),
+            trial_budget_s(fresh.system, fresh.array_id, fresh.num_links,
+                           trials),
+            rng);
+    };
+    search(control::GreedyCoordinateDescent(), 256.0);
+    search(control::MajorityVoteSearcher(), 128.0);
 }
 
-// Approximate percentile from fixed histogram buckets: the upper bound of
-// the bucket where the cumulative count crosses q (overflow observations
-// saturate at the last explicit bound).
-double approx_percentile_us(
-    const press::obs::MetricsRegistry::Snapshot::HistogramData& h,
-    double q) {
-    if (h.count == 0) return 0.0;
-    const auto target = static_cast<std::uint64_t>(
-        q * static_cast<double>(h.count) + 0.5);
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-        cumulative += h.counts[i];
-        if (cumulative >= target)
-            return i < h.bounds.size() ? h.bounds[i] : h.bounds.back();
-    }
-    return h.bounds.back();
-}
-
-// Control-plane service throughput: a closed-loop sweep over
-// control::Service running the real engine (core::make_service_engine,
-// no chaos), plus a deterministic overload burst so the reject and
-// expiry counters land in the baseline with exact expected values.
-// Request latency percentiles come from the service.request_us histogram
-// the service populates; throughput is wall-clock and informational.
-struct ServiceSnapshot {
-    double wall_s = 0.0;
-    double requests_per_s = 0.0;
-    std::uint64_t admitted = 0;
-    std::uint64_t served = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t expired = 0;
-    double request_p50_us = 0.0;
-    double request_p99_us = 0.0;
-    double queue_wait_p99_us = 0.0;
-    bool balanced = false;
+/// What the introspection gates read off the service runs.
+struct Introspection {
+    std::uint64_t frames = 0;          ///< telemetry frames decoded live
+    std::uint64_t exemplars = 0;       ///< exemplars across those frames
+    std::uint64_t invalid_frames = 0;  ///< schema violations
+    std::uint64_t frames_dropped = 0;  ///< drop-oldest casualties
+    std::uint64_t samples = 0;         ///< sampler windows of the sweep
+    std::uint64_t sweep_frames = 0;    ///< frames pushed during the sweep
+    double service_s = 0.0;            ///< service-clock time of the sweep
+    double sample_us = 0.0;            ///< one warmed registry sweep
+    double frame_us = 0.0;             ///< build+wire+parse one frame
+    double plane_pct = 0.0;            ///< attributed plane cost
+    std::uint64_t slo_alarms = 0;      ///< burn alarms from the burst
+    std::uint64_t taps = 0;            ///< FlightTap frames received
+    std::uint64_t burn_series = 0;     ///< streamed windows with burn > 0
+    std::uint64_t admitted = 0, served = 0, rejected = 0, expired = 0;
+    bool balanced = true;              ///< every service's ledger
 };
 
-ServiceSnapshot snapshot_service(std::uint64_t seed) {
-    using control::Service;
-    ServiceSnapshot snap;
-    core::LinkScenario scenario = core::make_link_scenario(seed, false);
+/// Parses one telemetry frame; counts it invalid when it fails the
+/// timeseries schema (or does not parse). Returns the document when valid.
+std::optional<obs::Json> parse_frame(const control::TelemetryFrame& tf,
+                                     Introspection& out) {
+    try {
+        obs::Json doc = obs::Json::parse(tf.payload);
+        if (obs::validate_timeseries(doc).empty()) return doc;
+    } catch (const std::exception&) {
+    }
+    ++out.invalid_frames;
+    return std::nullopt;
+}
 
+control::ServiceOptions sweep_options(double telemetry_interval_s) {
     control::ServiceOptions options;
     options.queue_capacity = 16;
     options.default_budget_s = 0.002;  // short sim budget per cycle
     options.default_deadline_s = 10.0;
+    options.telemetry.interval_s = telemetry_interval_s;
+    return options;
+}
+
+/// Submits `count` equal-priority requests with a 100 µs deadline past
+/// the queue's capacity, then jumps the clock so every resident expires
+/// in-queue: exact reject and expiry counts for the baseline.
+void overload_burst(control::Service& service, std::uint32_t& seq,
+                    control::OptimizeRequest tight, std::size_t count) {
+    const control::Service::SessionId burst = service.connect();
+    service.submit(burst, control::encode(control::Hello{}, seq++));
+    tight.deadline_us = 100;
+    for (std::size_t i = 0; i < count; ++i)
+        service.submit(burst, control::encode(tight, seq++));
+    service.advance_clock(1.0);
+    (void)service.run_until_idle();
+    (void)service.take_outgoing(burst);
+}
+
+/// The control-plane service end to end (core::make_service_engine, no
+/// chaos): a closed-loop sweep with a live subscriber whose frames are
+/// decoded and schema-checked every tick, then the overload burst; a
+/// deadline-miss burst on a second subscribed service; and the sampler's
+/// unit costs, which attribute the plane's cost.
+Introspection run_service(std::uint64_t seed) {
+    using control::Service;
+    Introspection out;
+    core::LinkScenario scenario = core::make_link_scenario(seed, false);
+    // 0.1 s of service-clock time per window: 5x pressd's default
+    // cadence, so the attributed cost bounds real deployments.
+    const control::ServiceOptions options = sweep_options(0.1);
     Service service(core::make_service_engine(scenario.system), options);
 
     constexpr std::size_t kClients = 4;
@@ -510,22 +482,37 @@ ServiceSnapshot snapshot_service(std::uint64_t seed) {
     std::uint32_t seq = 1;
     std::vector<Service::SessionId> ids;
     for (std::size_t c = 0; c < kClients; ++c) {
-        const Service::SessionId id = service.connect();
-        service.submit(id, control::encode(control::Hello{}, seq++));
-        (void)service.take_outgoing(id);  // HelloAck
-        ids.push_back(id);
+        ids.push_back(service.connect());
+        service.submit(ids.back(), control::encode(control::Hello{}, seq++));
+        (void)service.take_outgoing(ids.back());  // HelloAck
     }
+    const Service::SessionId watcher = service.connect();
+    service.submit(watcher, control::encode(control::Hello{}, seq++));
+    (void)service.take_outgoing(watcher);
+    control::Subscribe sub;
+    sub.interval_us = 100000;  // a push per 0.1 s of service time
+    service.submit(watcher, control::encode(sub, seq++));
+    const auto drain_watcher = [&] {
+        for (const auto& frame : service.take_outgoing(watcher)) {
+            const control::Decoded reply = control::decode(frame);
+            const auto* tf =
+                std::get_if<control::TelemetryFrame>(&reply.message);
+            if (tf == nullptr) continue;
+            ++out.frames;
+            const auto doc = parse_frame(*tf, out);
+            if (doc && doc->contains("exemplars"))
+                out.exemplars += doc->at("exemplars").as_array().size();
+        }
+    };
 
+    // Closed loop: every client keeps exactly one request outstanding
+    // until kRequests have been issued; each tick runs one cycle.
     control::OptimizeRequest req;
     req.array_id = static_cast<std::uint16_t>(scenario.array_id);
     req.link_id = static_cast<std::uint16_t>(scenario.link_id);
     req.budget_us = 2000;
-
-    // Closed loop: every client keeps exactly one request outstanding
-    // until kRequests have been issued; each tick runs one cycle.
     std::vector<bool> outstanding(kClients, false);
     std::size_t issued = 0, completed = 0;
-    auto t0 = Clock::now();
     while (completed < kRequests) {
         for (std::size_t c = 0; c < kClients; ++c) {
             if (outstanding[c] || issued >= kRequests) continue;
@@ -535,7 +522,7 @@ ServiceSnapshot snapshot_service(std::uint64_t seed) {
         }
         service.run_cycle();
         service.advance_clock(1e-4);
-        for (std::size_t c = 0; c < kClients; ++c) {
+        for (std::size_t c = 0; c < kClients; ++c)
             for (const auto& frame : service.take_outgoing(ids[c])) {
                 const control::Decoded reply = control::decode(frame);
                 if (std::holds_alternative<control::OptimizeReply>(
@@ -545,1040 +532,125 @@ ServiceSnapshot snapshot_service(std::uint64_t seed) {
                     ++completed;
                 }
             }
-        }
-    }
-    snap.wall_s =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    snap.requests_per_s =
-        static_cast<double>(completed) / std::max(snap.wall_s, 1e-9);
-
-    // Deterministic overload burst: one session floods the queue with
-    // equal-priority requests (8 past capacity -> 8 kQueueFull rejects),
-    // then the clock jumps past their tight deadlines so every resident
-    // expires in-queue. The burst pins the reject/expire counters the
-    // baseline gates to exact values.
-    const Service::SessionId burst = service.connect();
-    service.submit(burst, control::encode(control::Hello{}, seq++));
-    control::OptimizeRequest tight = req;
-    tight.deadline_us = 100;
-    for (std::size_t i = 0; i < options.queue_capacity + 8; ++i)
-        service.submit(burst, control::encode(tight, seq++));
-    service.advance_clock(1.0);
-    (void)service.run_until_idle();
-    (void)service.take_outgoing(burst);
-
-    const Service::Stats& stats = service.stats();
-    snap.admitted = stats.admitted;
-    snap.served = stats.served;
-    snap.rejected = stats.rejected;
-    snap.expired = stats.expired;
-    snap.balanced = service.accounting_balanced();
-
-    const auto metrics = press::obs::MetricsRegistry::global().snapshot();
-    for (const auto& h : metrics.histograms) {
-        if (h.name == "service.request_us") {
-            snap.request_p50_us = approx_percentile_us(h, 0.50);
-            snap.request_p99_us = approx_percentile_us(h, 0.99);
-        } else if (h.name == "service.queue_wait_us") {
-            snap.queue_wait_p99_us = approx_percentile_us(h, 0.99);
-        }
-    }
-    return snap;
-}
-
-// Introspection-plane cost and correctness. The closed-loop service
-// sweep above runs twice more — telemetry sampler off with no
-// subscriber, then sampler on with a live in-proc subscriber whose
-// frames are drained, decoded and schema-validated every tick (that
-// parse cost is the honest cost of watching, so it is timed with the
-// sweep). Throughput for each mode is the best of three interleaved
-// runs, the same de-noising the scene-level telemetry overhead uses.
-// Afterwards a deadline-miss burst on a subscribed service must raise
-// the SLO burn alarm, stream a nonzero service.slo.burn_rate series and
-// deliver a FlightTap frame, and a warmed Timeseries::sample() sweep
-// runs under the operator-new counter — all hard gates in main().
-struct IntrospectionSnapshot {
-    double unsub_requests_per_s = 0.0;
-    double sub_requests_per_s = 0.0;
-    double overhead_pct = 0.0;         ///< attributed plane cost, % of sweep
-    double paired_delta_pct = 0.0;     ///< raw A/B median (noisy, FYI only)
-    double sample_us = 0.0;            ///< one registry sweep
-    double frame_us = 0.0;             ///< build+wire+parse one frame
-    std::uint64_t frames = 0;          ///< telemetry frames decoded live
-    std::uint64_t exemplars = 0;       ///< exemplars across those frames
-    std::uint64_t invalid_frames = 0;  ///< schema violations (gate: 0)
-    std::uint64_t samples = 0;         ///< sampler windows, subscribed runs
-    std::uint64_t frames_dropped = 0;  ///< drop-oldest casualties (0 here)
-    std::uint64_t slo_alarms = 0;      ///< burn alarms from the burst
-    std::uint64_t taps = 0;            ///< FlightTap frames received
-    std::uint64_t burn_series = 0;     ///< streamed windows with burn > 0
-    double burn_peak = 0.0;            ///< max streamed burn rate
-    std::uint64_t sample_allocs = 0;   ///< operator-new in sample() sweep
-    bool balanced = false;
-};
-
-IntrospectionSnapshot snapshot_introspection(std::uint64_t seed) {
-    using control::Service;
-    IntrospectionSnapshot snap;
-    snap.balanced = true;
-
-    struct Pass {
-        double wall_s = 0.0;
-        double service_s = 0.0;  ///< service-clock time the sweep covered
-        std::uint64_t frames = 0;
-        std::uint64_t exemplars = 0;
-        std::uint64_t invalid = 0;
-        std::uint64_t samples = 0;
-        std::uint64_t dropped = 0;
-        bool balanced = false;
-    };
-    auto run_pass = [&](bool subscribed) {
-        Pass pass;
-        core::LinkScenario scenario = core::make_link_scenario(seed, false);
-        control::ServiceOptions options;
-        options.queue_capacity = 16;
-        options.default_budget_s = 0.002;
-        options.default_deadline_s = 10.0;
-        // 0.1 s of service-clock time per window: 5x pressd's default
-        // cadence, so the measured overhead bounds real deployments.
-        options.telemetry.interval_s = subscribed ? 0.1 : 0.0;
-        Service service(core::make_service_engine(scenario.system), options);
-
-        constexpr std::size_t kClients = 4;
-        constexpr std::size_t kRequests = 256;
-        std::uint32_t seq = 1;
-        std::vector<Service::SessionId> ids;
-        for (std::size_t c = 0; c < kClients; ++c) {
-            const Service::SessionId id = service.connect();
-            service.submit(id, control::encode(control::Hello{}, seq++));
-            (void)service.take_outgoing(id);  // HelloAck
-            ids.push_back(id);
-        }
-        Service::SessionId watcher{};
-        if (subscribed) {
-            watcher = service.connect();
-            service.submit(watcher, control::encode(control::Hello{}, seq++));
-            (void)service.take_outgoing(watcher);
-            control::Subscribe sub;
-            sub.interval_us = 100000;  // a push per 0.1 s of service time
-            service.submit(watcher, control::encode(sub, seq++));
-        }
-        auto drain_watcher = [&] {
-            if (!subscribed) return;
-            for (const auto& frame : service.take_outgoing(watcher)) {
-                const control::Decoded reply = control::decode(frame);
-                const auto* tf =
-                    std::get_if<control::TelemetryFrame>(&reply.message);
-                if (tf == nullptr) continue;
-                ++pass.frames;
-                try {
-                    const obs::Json doc = obs::Json::parse(tf->payload);
-                    if (!obs::validate_timeseries(doc).empty())
-                        ++pass.invalid;
-                    else if (doc.contains("exemplars"))
-                        pass.exemplars +=
-                            doc.at("exemplars").as_array().size();
-                } catch (const std::exception&) {
-                    ++pass.invalid;
-                }
-            }
-        };
-
-        control::OptimizeRequest req;
-        req.array_id = static_cast<std::uint16_t>(scenario.array_id);
-        req.link_id = static_cast<std::uint16_t>(scenario.link_id);
-        req.budget_us = 2000;
-        std::vector<bool> outstanding(kClients, false);
-        std::size_t issued = 0, completed = 0;
-        auto t0 = Clock::now();
-        while (completed < kRequests) {
-            for (std::size_t c = 0; c < kClients; ++c) {
-                if (outstanding[c] || issued >= kRequests) continue;
-                service.submit(ids[c], control::encode(req, seq++));
-                outstanding[c] = true;
-                ++issued;
-            }
-            service.run_cycle();
-            service.advance_clock(1e-4);
-            for (std::size_t c = 0; c < kClients; ++c) {
-                for (const auto& frame : service.take_outgoing(ids[c])) {
-                    const control::Decoded reply = control::decode(frame);
-                    if (std::holds_alternative<control::OptimizeReply>(
-                            reply.message) ||
-                        std::holds_alternative<control::Reject>(
-                            reply.message)) {
-                        outstanding[c] = false;
-                        ++completed;
-                    }
-                }
-            }
-            drain_watcher();
-        }
-        pass.wall_s =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        (void)service.run_until_idle();
         drain_watcher();
-        pass.service_s = service.uptime_s();
-        pass.samples = service.stats().telemetry_samples;
-        pass.dropped = service.stats().telemetry_frames_dropped;
-        pass.balanced = service.accounting_balanced();
-        return pass;
-    };
-
-    // Paired reps: each rep times both modes back to back, so machine
-    // drift cancels in the per-rep ratio; the median ratio is the
-    // overhead estimate (robust to one noisy rep either way), while the
-    // reported throughputs are the best-of-reps informational numbers.
-    constexpr std::size_t kRequests = 256;
-    constexpr int kReps = 5;
-    double best_unsub_s = std::numeric_limits<double>::infinity();
-    double best_sub_s = std::numeric_limits<double>::infinity();
-    double sub_service_s = 0.0;
-    std::vector<double> ratios;
-    for (int rep = 0; rep < kReps; ++rep) {
-        // Alternate which mode goes first so slow drift (turbo decay,
-        // a neighbor landing on the core) biases neither mode.
-        Pass unsub, sub;
-        if (rep % 2 == 0) {
-            unsub = run_pass(false);
-            sub = run_pass(true);
-        } else {
-            sub = run_pass(true);
-            unsub = run_pass(false);
-        }
-        best_unsub_s = std::min(best_unsub_s, unsub.wall_s);
-        best_sub_s = std::min(best_sub_s, sub.wall_s);
-        sub_service_s += sub.service_s;
-        ratios.push_back(sub.wall_s / std::max(unsub.wall_s, 1e-9));
-        snap.frames += sub.frames;
-        snap.exemplars += sub.exemplars;
-        snap.invalid_frames += unsub.invalid + sub.invalid;
-        snap.samples += sub.samples;
-        snap.frames_dropped += sub.dropped;
-        snap.balanced = snap.balanced && unsub.balanced && sub.balanced;
     }
-    std::sort(ratios.begin(), ratios.end());
-    snap.unsub_requests_per_s =
-        static_cast<double>(kRequests) / std::max(best_unsub_s, 1e-9);
-    snap.sub_requests_per_s =
-        static_cast<double>(kRequests) / std::max(best_sub_s, 1e-9);
-    snap.paired_delta_pct = (ratios[ratios.size() / 2] - 1.0) * 100.0;
+    (void)service.run_until_idle();
+    drain_watcher();
+    out.service_s = service.uptime_s();
+    out.samples = service.stats().telemetry_samples;
+    out.sweep_frames = out.frames;
+
+    // 8 requests past capacity -> 8 kQueueFull rejects, the rest expire.
+    overload_burst(service, seq, req, options.queue_capacity + 8);
+    drain_watcher();
+    const Service::Stats& stats = service.stats();
+    out.admitted = stats.admitted;
+    out.served = stats.served;
+    out.rejected = stats.rejected;
+    out.expired = stats.expired;
+    out.frames_dropped = stats.telemetry_frames_dropped;
+    out.balanced = service.accounting_balanced();
 
     // Deadline-miss burst against a subscribed session: every resident
     // request expires in-queue, the burn rate crosses the alarm, and the
     // subscriber must see both the flight tap and a burn-rate series.
     {
-        core::LinkScenario scenario = core::make_link_scenario(seed, false);
-        control::ServiceOptions options;
-        options.queue_capacity = 16;
-        options.default_budget_s = 0.002;
-        options.telemetry.interval_s = 0.02;
-        Service service(core::make_service_engine(scenario.system), options);
-        std::uint32_t seq = 1;
-        const Service::SessionId watcher = service.connect();
-        service.submit(watcher, control::encode(control::Hello{}, seq++));
-        control::Subscribe sub;
-        sub.interval_us = 20000;
-        service.submit(watcher, control::encode(sub, seq++));
-        (void)service.take_outgoing(watcher);  // HelloAck + subscribe ack
-
-        const Service::SessionId burst = service.connect();
-        service.submit(burst, control::encode(control::Hello{}, seq++));
-        control::OptimizeRequest tight;
-        tight.array_id = static_cast<std::uint16_t>(scenario.array_id);
-        tight.link_id = static_cast<std::uint16_t>(scenario.link_id);
-        tight.budget_us = 2000;
-        tight.deadline_us = 100;
-        for (std::size_t i = 0; i < options.queue_capacity + 8; ++i)
-            service.submit(burst, control::encode(tight, seq++));
-        service.advance_clock(1.0);
-        (void)service.run_until_idle();
+        core::LinkScenario burst_scene =
+            core::make_link_scenario(seed, false);
+        control::ServiceOptions burst_options = sweep_options(0.02);
+        Service burst(core::make_service_engine(burst_scene.system),
+                      burst_options);
+        std::uint32_t bseq = 1;
+        const Service::SessionId bwatcher = burst.connect();
+        burst.submit(bwatcher, control::encode(control::Hello{}, bseq++));
+        control::Subscribe bsub;
+        bsub.interval_us = 20000;
+        burst.submit(bwatcher, control::encode(bsub, bseq++));
+        (void)burst.take_outgoing(bwatcher);  // HelloAck + subscribe ack
+        overload_burst(burst, bseq, req, burst_options.queue_capacity + 8);
         // Let the sampler close a few more windows while the misses are
         // still inside the SLO window: a burn series, not a single point.
         for (int i = 0; i < 8; ++i) {
-            service.advance_clock(0.05);
-            (void)service.run_cycle();
+            burst.advance_clock(0.05);
+            (void)burst.run_cycle();
         }
-        for (const auto& frame : service.take_outgoing(watcher)) {
+        for (const auto& frame : burst.take_outgoing(bwatcher)) {
             const control::Decoded reply = control::decode(frame);
             if (const auto* tf =
                     std::get_if<control::TelemetryFrame>(&reply.message)) {
-                try {
-                    const obs::Json doc = obs::Json::parse(tf->payload);
-                    if (!obs::validate_timeseries(doc).empty()) {
-                        ++snap.invalid_frames;
-                        continue;
-                    }
-                    if (!doc.contains("gauges")) continue;
-                    const obs::Json& gauges = doc.at("gauges");
-                    if (!gauges.contains("service.slo.burn_rate")) continue;
-                    const double burn =
-                        gauges.at("service.slo.burn_rate").as_double();
-                    if (burn > 0.0) {
-                        ++snap.burn_series;
-                        snap.burn_peak = std::max(snap.burn_peak, burn);
-                    }
-                } catch (const std::exception&) {
-                    ++snap.invalid_frames;
-                }
-            } else if (const auto* tap =
-                           std::get_if<control::FlightTap>(&reply.message)) {
-                if (tap->reason ==
-                    static_cast<std::uint8_t>(
-                        control::FlightTapReason::kSloBurn))
-                    ++snap.taps;
+                const auto doc = parse_frame(*tf, out);
+                const char* burn = "service.slo.burn_rate";
+                if (doc && doc->contains("gauges") &&
+                    doc->at("gauges").contains(burn) &&
+                    doc->at("gauges").at(burn).as_double() > 0.0)
+                    ++out.burn_series;
+            } else if (const auto* tap = std::get_if<control::FlightTap>(
+                           &reply.message)) {
+                if (tap->reason == static_cast<std::uint8_t>(
+                                       control::FlightTapReason::kSloBurn))
+                    ++out.taps;
             }
         }
-        snap.slo_alarms = service.stats().slo_alarms;
-        snap.balanced = snap.balanced && service.accounting_balanced();
+        out.slo_alarms = burst.stats().slo_alarms;
+        out.balanced = out.balanced && burst.accounting_balanced();
     }
 
-    // Zero-allocation contract on the sampling hot path: a warmed
-    // Timeseries may not allocate in sample() or note_exemplar(). (The
-    // service's SLO gauge publication sits outside this contract — it
-    // builds metric names — so the gate covers exactly the per-window
-    // registry sweep that runs at every sampler tick.) The same loop is
-    // timed, and a second loop prices one full frame round trip (render,
-    // dump, encode, decode, parse, validate) — together they attribute
-    // the introspection plane's cost deterministically, which is what
-    // the overhead gate uses: on a loaded CI box the raw A/B wall-clock
-    // delta above drowns a ~1% effect in multi-percent scheduler noise.
-    {
-        obs::TimeseriesOptions topt;
-        topt.interval_s = 0.02;
-        obs::Timeseries ts(topt);
-        ts.refresh();
-        double now = 0.0;
-        for (int i = 0; i < 4; ++i) ts.sample(now += topt.interval_s);
-        const std::uint64_t armed = allocations();
-        auto t0 = Clock::now();
-        constexpr int kSamples = 256;
-        for (int i = 0; i < kSamples; ++i) {
-            ts.note_exemplar(123.0 + i, 0x9E3779B97F4A7C15ull * (i + 1),
-                             now);
-            ts.sample(now += topt.interval_s);
-        }
-        snap.sample_us = elapsed_us(t0, Clock::now(), kSamples);
-        snap.sample_allocs = allocations() - armed;
-
-        constexpr int kFrames = 64;
-        t0 = Clock::now();
-        for (int i = 0; i < kFrames; ++i) {
-            control::TelemetryFrame tf;
-            tf.revision = ts.revision();
-            tf.payload = ts.latest_frame(std::string(), true).dump();
-            const auto wire = control::encode(control::Message{tf},
-                                              static_cast<std::uint32_t>(i));
-            const control::Decoded rx = control::decode(wire);
-            const auto* got =
-                std::get_if<control::TelemetryFrame>(&rx.message);
-            if (got == nullptr ||
-                !obs::validate_timeseries(obs::Json::parse(got->payload))
-                     .empty())
-                ++snap.invalid_frames;
-        }
-        snap.frame_us = elapsed_us(t0, Clock::now(), kFrames);
-    }
-    // Attributed overhead, per second of service-clock time: the sampler
-    // and push cadences are service-clock rates, and a deployed pressd
-    // maps wall time onto the service clock 1:1, so what a deployment
-    // pays is (windows per service-second) x (unit cost). The sweep's
-    // closed loop advances the service clock ~13x faster than wall (a
-    // 2 ms optimize budget costs ~0.16 ms of wall compute), so dividing
-    // by the loop's wall time instead would charge the plane for a
-    // cadence 13x denser than any wall-clocked deployment runs at.
-    snap.overhead_pct =
-        (static_cast<double>(snap.samples) * snap.sample_us +
-         static_cast<double>(snap.frames) * snap.frame_us) /
-        std::max(sub_service_s * 1e6, 1e-9) * 100.0;
-    return snap;
+    // The plane's cost, attributed from unit costs: one warmed registry
+    // sweep (allocation-gated — sample() and note_exemplar() may not
+    // allocate) and one frame round trip (render, dump, encode, decode,
+    // parse, validate). On a loaded CI box a raw A/B wall-clock delta
+    // drowns a ~1% effect in multi-percent scheduler noise.
+    obs::TimeseriesOptions topt;
+    topt.interval_s = 0.02;
+    obs::Timeseries ts(topt);
+    ts.refresh();
+    double now = 0.0;
+    for (int i = 0; i < 4; ++i) ts.sample(now += topt.interval_s);
+    const auto sample = [&](std::size_t i) {
+        ts.note_exemplar(123.0 + static_cast<double>(i),
+                         0x9E3779B97F4A7C15ull * (i + 1), now);
+        ts.sample(now += topt.interval_s);
+    };
+    gate_allocations("timeseries sample", 256, sample);
+    out.sample_us = time_us(256, sample);
+    out.frame_us = time_us(64, [&](std::size_t i) {
+        control::TelemetryFrame tf;
+        tf.revision = ts.revision();
+        tf.payload = ts.latest_frame(std::string(), true).dump();
+        const control::Decoded rx = control::decode(control::encode(
+            control::Message{tf}, static_cast<std::uint32_t>(i)));
+        const auto* got = std::get_if<control::TelemetryFrame>(&rx.message);
+        if (got == nullptr)
+            ++out.invalid_frames;
+        else
+            (void)parse_frame(*got, out);
+    });
+    // Per second of service-clock time: the sampler and push cadences are
+    // service-clock rates, and a deployed pressd maps wall time onto the
+    // service clock 1:1, so what a deployment pays is (windows per
+    // service-second) x (unit cost). The closed loop advances the service
+    // clock ~13x faster than wall, so dividing by its wall time would
+    // charge the plane for a cadence 13x denser than any deployment's.
+    out.plane_pct = (static_cast<double>(out.samples) * out.sample_us +
+                     static_cast<double>(out.sweep_frames) * out.frame_us) /
+                    std::max(out.service_s * 1e6, 1e-9) * 100.0;
+    return out;
 }
 
-// Massive-element scene (tentpole of the RFocus-regime scaling work):
-// 1,024 two-state elements on a wall panel. The config space holds 2^1024
-// points, so nothing here may call ConfigSpace::at()/size() — candidate
-// configs are drawn element-wise from a seeded rng. Reported: scene build
-// and cache-warm wall time, the blocked-SoA basis footprint, per-eval
-// gather/delta costs under the allocation gate, a BatchEvaluator
-// thread-scaling curve (efficiency is speedup over min(T, hardware
-// threads): the honest ideal on any box, the strict T-fold meaning on a
-// CI runner with >= 8 cores), and greedy-vs-majority-vote quality at a
-// 4:1 evaluation-budget handicap.
-struct MassiveSnapshot {
-    std::size_t n_elements = 0;
-    std::uint64_t seed = 0;
-    double build_ms = 0.0;      ///< make_massive_scenario wall time
-    double warm_ms = 0.0;       ///< LinkCache::warm (trace + basis build)
-    std::size_t basis_rows = 0;
-    std::size_t basis_row_stride = 0;
-    double basis_mib = 0.0;
-    double soa_eval_us = 0.0;   ///< full tiled gather, n rows
-    double delta_eval_us = 0.0; ///< coordinate delta: base copy + one row
-    std::uint64_t sweep_allocs = 0;
-    std::size_t hardware_threads = 0;
-    struct ThreadPoint {
-        std::size_t threads = 0;
-        double eval_us = 0.0;
-        double speedup = 0.0;     ///< vs the 1-thread point
-        double efficiency = 0.0;  ///< speedup / min(threads, hardware)
-    };
-    std::vector<ThreadPoint> scaling;
-    double greedy_ms = 0.0;
-    std::size_t greedy_evals = 0;
-    double greedy_score = 0.0;    ///< best_score_remeasured, min-SNR dB
-    double majority_ms = 0.0;
-    std::size_t majority_evals = 0;
-    double majority_score = 0.0;
-    double score_fraction = 0.0;  ///< majority / greedy objective
-    double eval_fraction = 0.0;   ///< majority / greedy evaluations
+/// One gate's verdict: prints it, and remembers a failure.
+struct Verdicts {
+    bool failed = false;
+    void check(bool ok, const char* gate, const std::string& detail) {
+        std::printf("%s %-13s %s\n", ok ? "PASS" : "FAIL", gate,
+                    detail.c_str());
+        failed = failed || !ok;
+    }
 };
 
-MassiveSnapshot snapshot_massive(std::size_t n, std::uint64_t seed) {
-    MassiveSnapshot snap;
-    snap.n_elements = n;
-    snap.seed = seed;
-
-    auto t0 = Clock::now();
-    core::LinkScenario scenario = core::make_massive_scenario(n, seed);
-    snap.build_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-
-    const sdr::Medium& medium = scenario.system.medium();
-    const sdr::Link& link = scenario.system.link(scenario.link_id);
-    const surface::Array& array = medium.array(scenario.array_id);
-    const surface::ConfigSpace space = array.config_space();
-    const std::vector<int>& radices = space.radices();
-
-    core::LinkCache cache;
-    t0 = Clock::now();
-    cache.warm(medium, scenario.link_id, link);
-    snap.warm_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-    const core::LinkCache::BasisLayout layout =
-        cache.basis_layout(scenario.link_id, scenario.array_id);
-    snap.basis_rows = layout.rows;
-    snap.basis_row_stride = layout.row_stride;
-    snap.basis_mib =
-        static_cast<double>(layout.bytes) / (1024.0 * 1024.0);
-
-    // Candidate configs drawn element-wise (2^n space: no enumeration).
-    util::Rng cfg_rng(1234 + seed);
-    const auto random_config = [&]() {
-        surface::Config c(n);
-        for (std::size_t e = 0; e < n; ++e)
-            c[e] = static_cast<int>(cfg_rng.uniform_int(0, radices[e] - 1));
-        return c;
-    };
-    constexpr std::size_t kConfigCycle = 32;
-    std::vector<surface::Config> configs;
-    configs.reserve(kConfigCycle);
-    for (std::size_t i = 0; i < kConfigCycle; ++i)
-        configs.push_back(random_config());
-
-    {   // Full tiled-SoA gather per evaluation, allocation-gated.
-        constexpr std::size_t kSoaIters = 300;
-        util::kernels::SplitVec h;
-        cache.response_into(medium, scenario.link_id, link,
-                            scenario.array_id, configs[0], h);
-        std::uint64_t armed = allocations();
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kSoaIters; ++i) {
-            cache.response_into(medium, scenario.link_id, link,
-                                scenario.array_id,
-                                configs[i % kConfigCycle], h);
-            volatile double sink = h.re[0];
-            (void)sink;
-        }
-        snap.soa_eval_us = elapsed_us(t0, Clock::now(), kSoaIters);
-        snap.sweep_allocs += allocations() - armed;
-
-        // Coordinate delta: copy the cached base, add one swept row.
-        constexpr std::size_t kDeltaIters = 2000;
-        util::kernels::SplitVec base, cand;
-        cache.response_base_into(medium, scenario.link_id, link,
-                                 scenario.array_id, configs[0],
-                                 /*element=*/0, base);
-        cand.resize(base.size());
-        const int radix = radices[0];
-        armed = allocations();
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kDeltaIters; ++i) {
-            util::kernels::copy(util::kernels::active(), base.re.data(),
-                                base.im.data(), cand.re.data(),
-                                cand.im.data(), base.size());
-            cache.accumulate_element_row(scenario.link_id,
-                                         scenario.array_id, /*element=*/0,
-                                         static_cast<int>(i % radix), cand);
-            volatile double sink = cand.re[0];
-            (void)sink;
-        }
-        snap.delta_eval_us = elapsed_us(t0, Clock::now(), kDeltaIters);
-        snap.sweep_allocs += allocations() - armed;
-    }
-
-    {   // Thread-scaling curve: one shared candidate batch scored through
-        // BatchEvaluator pools of 1/2/4/8 workers. The score is the fused
-        // min-SNR shape without the noise draws (gather + min |H|^2), so
-        // the curve isolates shard claiming + the bandwidth-bound gather.
-        const unsigned hw = std::thread::hardware_concurrency();
-        snap.hardware_threads = hw == 0 ? 1 : hw;
-        constexpr std::size_t kBatch = 256;
-        std::vector<surface::Config> batch;
-        batch.reserve(kBatch);
-        for (std::size_t i = 0; i < kBatch; ++i)
-            batch.push_back(random_config());
-        const auto score = [&](const surface::Config& c, util::Rng&,
-                               control::EvalScratch& s) {
-            cache.response_into(medium, scenario.link_id, link,
-                                scenario.array_id, c, s.h);
-            double worst = std::numeric_limits<double>::infinity();
-            for (std::size_t k = 0; k < s.h.size(); ++k) {
-                const double p =
-                    s.h.re[k] * s.h.re[k] + s.h.im[k] * s.h.im[k];
-                worst = std::min(worst, p);
-            }
-            return worst;
-        };
-        double one_thread_us = 0.0;
-        for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-            control::BatchEvaluator pool(score, /*seed=*/42, threads);
-            (void)pool.evaluate(batch);  // warm every worker arena
-            double best_us = std::numeric_limits<double>::infinity();
-            for (int rep = 0; rep < 3; ++rep) {
-                const auto p0 = Clock::now();
-                (void)pool.evaluate(batch);
-                best_us = std::min(
-                    best_us, elapsed_us(p0, Clock::now(), kBatch));
-            }
-            MassiveSnapshot::ThreadPoint point;
-            point.threads = threads;
-            point.eval_us = best_us;
-            if (threads == 1) one_thread_us = best_us;
-            point.speedup = one_thread_us / best_us;
-            point.efficiency =
-                point.speedup /
-                static_cast<double>(std::min<std::size_t>(
-                    threads, snap.hardware_threads));
-            snap.scaling.push_back(point);
-        }
-    }
-
-    {   // Greedy-vs-majority under simulated budgets priced off the same
-        // control-plane model optimize_fast uses: greedy gets ~4n trials,
-        // majority-vote a quarter of that. The quality bar (>=95% of
-        // greedy's remeasured objective at <=25% of its evaluations) is
-        // asserted by tests/test_massive; here the ratio is reported for
-        // trend tracking.
-        const control::ControlPlaneModel plane =
-            control::ControlPlaneModel::fast();
-        control::SetConfig probe;
-        probe.array_id = static_cast<std::uint16_t>(scenario.array_id);
-        probe.config.assign(n, 0);
-        const double trial_s = plane.config_trial_time_s(
-            probe, /*num_links=*/1, medium.ofdm().num_used());
-        const double greedy_budget_s = 4096.0 * trial_s;
-        const double majority_budget_s = 1024.0 * trial_s;
-        const control::MinSnrObjective objective(0);
-        {
-            const control::GreedyCoordinateDescent searcher;
-            util::Rng rng(9100 + seed);
-            t0 = Clock::now();
-            const auto outcome = scenario.system.optimize_fast(
-                scenario.array_id, objective, searcher, plane,
-                greedy_budget_s, rng);
-            snap.greedy_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-            snap.greedy_evals = outcome.search.evaluations;
-            snap.greedy_score = outcome.search.best_score_remeasured;
-        }
-        {
-            const control::MajorityVoteSearcher searcher;
-            util::Rng rng(9100 + seed);
-            t0 = Clock::now();
-            const auto outcome = scenario.system.optimize_fast(
-                scenario.array_id, objective, searcher, plane,
-                majority_budget_s, rng);
-            snap.majority_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-            snap.majority_evals = outcome.search.evaluations;
-            snap.majority_score = outcome.search.best_score_remeasured;
-        }
-        snap.eval_fraction =
-            snap.greedy_evals == 0
-                ? 0.0
-                : static_cast<double>(snap.majority_evals) /
-                      static_cast<double>(snap.greedy_evals);
-        // Min-SNR scores are dB and can straddle zero, so the fraction is
-        // only meaningful when greedy found a positive-SNR config.
-        snap.score_fraction =
-            snap.greedy_score > 0.0
-                ? snap.majority_score / snap.greedy_score
-                : (snap.majority_score >= snap.greedy_score ? 1.0 : 0.0);
-    }
-    return snap;
-}
-
-// Wideband Wi-Fi 6E/7 scene (tentpole of the tone-axis scaling work):
-// a 996-tone (160 MHz) or 1960-tone (320 MHz) numerology over a
-// 16-element 4-phase panel, scored per-RU under a punctured mask
-// (DESIGN.md §15). Four per-candidate costs ride under the allocation
-// gate: the full-width SoA gather, the tile-bounded masked gather
-// (response_ranges_into over the mask's tile spans), the fused
-// coordinate delta (element_row_delta: candidate = base + swept row in
-// one pass), and its tile-bounded form. A planned n-point FFT execution
-// loop covers the FftPlan cache's zero-steady-state-allocation claim.
-// The masked delta's per-TONE cost feeds the acceptance gate in main():
-// what the wideband search pays per tone of the numerology — the fused
-// single pass (60% of the two-step traffic) plus tile skipping (the
-// bench mask punctures a >=tile-wide RU run) must buy back the
-// L1-to-L2 bandwidth loss of 19-38x wider rows, landing at or below
-// fig4's 52-tone copy-then-add per-tone cost. The SoA per-tone cost is
-// reported but not gated: it scales with the element count (17 row
-// passes here vs fig4's 4), so it is not an apples-to-apples per-tone
-// figure.
-struct WidebandSnapshot {
-    std::string band;            ///< "wifi6e_160" / "wifi7_320"
-    std::uint64_t seed = 0;
-    std::size_t fft_size = 0;
-    std::size_t num_used = 0;
-    std::size_t active_tones = 0;   ///< mask's active tone count
-    std::size_t num_spans = 0;      ///< tile spans the mask resolves to
-    std::size_t covered_tones = 0;  ///< tones inside those spans
-    double build_ms = 0.0;   ///< make_wideband_scenario wall time
-    double warm_ms = 0.0;    ///< LinkCache::warm (trace + basis build)
-    std::size_t basis_rows = 0;
-    double basis_mib = 0.0;
-    double soa_eval_us = 0.0;     ///< full-width response_into
-    double masked_eval_us = 0.0;  ///< response_ranges_into, tile spans
-    double delta_eval_us = 0.0;   ///< full-width base copy + one row-add
-    double masked_delta_eval_us = 0.0;  ///< span copies + ranged row-add
-    double plan_fwd_us = 0.0;     ///< planned n-point forward FFT
-    double soa_per_tone_ns = 0.0;
-    double delta_per_tone_ns = 0.0;
-    double masked_delta_per_tone_ns = 0.0;  ///< the gated figure
-    std::uint64_t sweep_allocs = 0;
-    bool searched = false;  ///< end-to-end searches run (996 variant)
-    double masked_search_ms = 0.0;
-    std::size_t masked_search_evals = 0;
-    double masked_score_db = 0.0;  ///< remeasured min-SNR, active tones
-    double full_search_ms = 0.0;
-    std::size_t full_search_evals = 0;
-    double full_score_db = 0.0;  ///< remeasured min-SNR, all tones
-};
-
-WidebandSnapshot snapshot_wideband(const char* band,
-                                   const core::WidebandParams& params,
-                                   std::uint64_t seed, bool run_search) {
-    WidebandSnapshot snap;
-    snap.band = band;
-    snap.seed = seed;
-
-    auto t0 = Clock::now();
-    core::WidebandScenario scenario =
-        core::make_wideband_scenario(seed, params);
-    snap.build_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-
-    const sdr::Medium& medium = scenario.system.medium();
-    const sdr::Link& link = scenario.system.link(scenario.link_id);
-    const surface::Array& array = medium.array(scenario.array_id);
-    const surface::ConfigSpace space = array.config_space();
-    const std::vector<int>& radices = space.radices();
-    snap.fft_size = medium.ofdm().fft_size();
-    snap.num_used = medium.ofdm().num_used();
-    snap.active_tones = scenario.mask.num_active();
-
-    // The mask's tile spans: what every masked loop below streams.
-    std::vector<util::kernels::IndexRange> spans;
-    for (const phy::RuRange& r :
-         scenario.mask.tile_spans(core::LinkCache::kTileSubcarriers)) {
-        spans.push_back({r.first, r.last - r.first});
-        snap.covered_tones += r.last - r.first;
-    }
-    snap.num_spans = spans.size();
-
-    core::LinkCache cache;
-    t0 = Clock::now();
-    cache.warm(medium, scenario.link_id, link);
-    snap.warm_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-    const core::LinkCache::BasisLayout layout =
-        cache.basis_layout(scenario.link_id, scenario.array_id);
-    snap.basis_rows = layout.rows;
-    snap.basis_mib =
-        static_cast<double>(layout.bytes) / (1024.0 * 1024.0);
-
-    // Candidate configs drawn element-wise (the 4^16 space is enumerable
-    // but the massive idiom keeps the gate off ConfigSpace::at()).
-    util::Rng cfg_rng(1234 + seed);
-    const std::size_t n_elements = space.num_elements();
-    const auto random_config = [&]() {
-        surface::Config c(n_elements);
-        for (std::size_t e = 0; e < n_elements; ++e)
-            c[e] = static_cast<int>(cfg_rng.uniform_int(0, radices[e] - 1));
-        return c;
-    };
-    constexpr std::size_t kConfigCycle = 32;
-    std::vector<surface::Config> configs;
-    configs.reserve(kConfigCycle);
-    for (std::size_t i = 0; i < kConfigCycle; ++i)
-        configs.push_back(random_config());
-
-    constexpr std::size_t kEvalIters = 2000;
-    {   // Full-width SoA gather vs the tile-bounded masked gather.
-        util::kernels::SplitVec h;
-        cache.response_into(medium, scenario.link_id, link,
-                            scenario.array_id, configs[0], h);
-        std::uint64_t armed = allocations();
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kEvalIters; ++i) {
-            cache.response_into(medium, scenario.link_id, link,
-                                scenario.array_id,
-                                configs[i % kConfigCycle], h);
-            volatile double sink = h.re[0];
-            (void)sink;
-        }
-        snap.soa_eval_us = elapsed_us(t0, Clock::now(), kEvalIters);
-        snap.sweep_allocs += allocations() - armed;
-
-        util::kernels::SplitVec hm;
-        cache.response_ranges_into(medium, scenario.link_id, link,
-                                   scenario.array_id, configs[0],
-                                   spans.data(), spans.size(), hm);
-        armed = allocations();
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kEvalIters; ++i) {
-            cache.response_ranges_into(medium, scenario.link_id, link,
-                                       scenario.array_id,
-                                       configs[i % kConfigCycle],
-                                       spans.data(), spans.size(), hm);
-            volatile double sink = hm.re[spans[0].offset];
-            (void)sink;
-        }
-        snap.masked_eval_us = elapsed_us(t0, Clock::now(), kEvalIters);
-        snap.sweep_allocs += allocations() - armed;
-    }
-
-    {   // Coordinate delta through the fused wideband machinery
-        // (candidate = base + swept row in one pass), full-width and
-        // tile-bounded. Bit-identical to the narrowband scenes'
-        // copy-then-add loops at 60% of the memory traffic — the figure
-        // that matters once the split vectors fall out of L1.
-        util::kernels::SplitVec base, cand;
-        cache.response_base_into(medium, scenario.link_id, link,
-                                 scenario.array_id, configs[0],
-                                 /*element=*/0, base);
-        cand.resize(base.size());
-        const int radix = radices[0];
-        std::uint64_t armed = allocations();
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kEvalIters; ++i) {
-            cache.element_row_delta(scenario.link_id, scenario.array_id,
-                                    /*element=*/0,
-                                    static_cast<int>(i % radix), base,
-                                    cand);
-            volatile double sink = cand.re[0];
-            (void)sink;
-        }
-        snap.delta_eval_us = elapsed_us(t0, Clock::now(), kEvalIters);
-        snap.sweep_allocs += allocations() - armed;
-
-        util::kernels::SplitVec mbase, mcand;
-        cache.response_base_ranges_into(medium, scenario.link_id, link,
-                                        scenario.array_id, configs[0],
-                                        /*element=*/0, spans.data(),
-                                        spans.size(), mbase);
-        mcand.resize(mbase.size());
-        armed = allocations();
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kEvalIters; ++i) {
-            cache.element_row_delta_ranges(
-                scenario.link_id, scenario.array_id, /*element=*/0,
-                static_cast<int>(i % radix), spans.data(), spans.size(),
-                mbase, mcand);
-            volatile double sink = mcand.re[spans[0].offset];
-            (void)sink;
-        }
-        snap.masked_delta_eval_us =
-            elapsed_us(t0, Clock::now(), kEvalIters);
-        snap.sweep_allocs += allocations() - armed;
-    }
-
-    {   // Planned n-point forward FFT into reused output + scratch: the
-        // FftPlan cache's zero-steady-state-allocation claim, gated.
-        const util::FftPlan& plan = util::plan_for(snap.fft_size);
-        util::Rng rng(77 + seed);
-        util::CVec x(snap.fft_size);
-        for (auto& v : x) v = rng.complex_gaussian(1.0);
-        util::CVec out;
-        util::FftScratch scratch;
-        plan.forward(x, out, scratch);  // size out and scratch once
-        constexpr std::size_t kFftIters = 400;
-        const std::uint64_t armed = allocations();
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kFftIters; ++i) {
-            plan.forward(x, out, scratch);
-            volatile double sink = out[0].real();
-            (void)sink;
-        }
-        snap.plan_fwd_us = elapsed_us(t0, Clock::now(), kFftIters);
-        snap.sweep_allocs += allocations() - armed;
-    }
-
-    snap.soa_per_tone_ns =
-        snap.soa_eval_us * 1000.0 / static_cast<double>(snap.num_used);
-    snap.delta_per_tone_ns =
-        snap.delta_eval_us * 1000.0 / static_cast<double>(snap.num_used);
-    snap.masked_delta_per_tone_ns = snap.masked_delta_eval_us * 1000.0 /
-                                    static_cast<double>(snap.num_used);
-
-    if (run_search) {
-        // Masked vs full-band greedy under the same simulated budget,
-        // both through the fused optimize_fast path (the masked one
-        // tile-bounded end to end).
-        snap.searched = true;
-        const control::ControlPlaneModel plane =
-            control::ControlPlaneModel::fast();
-        control::SetConfig probe;
-        probe.array_id = static_cast<std::uint16_t>(scenario.array_id);
-        probe.config.assign(n_elements, 0);
-        const double budget_s =
-            2048.0 *
-            plane.config_trial_time_s(probe, /*num_links=*/1, snap.num_used);
-        const control::GreedyCoordinateDescent searcher;
-        {
-            const control::MaskedSnrObjective objective(
-                scenario.mask, control::FusedSpec::Kind::kMinSnr,
-                scenario.link_id);
-            util::Rng rng(9300 + seed);
-            t0 = Clock::now();
-            const auto outcome = scenario.system.optimize_fast(
-                scenario.array_id, objective, searcher, plane, budget_s,
-                rng);
-            snap.masked_search_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-            snap.masked_search_evals = outcome.search.evaluations;
-            snap.masked_score_db = outcome.search.best_score_remeasured;
-        }
-        {
-            const control::MinSnrObjective objective(scenario.link_id);
-            util::Rng rng(9300 + seed);
-            t0 = Clock::now();
-            const auto outcome = scenario.system.optimize_fast(
-                scenario.array_id, objective, searcher, plane, budget_s,
-                rng);
-            snap.full_search_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-            snap.full_search_evals = outcome.search.evaluations;
-            snap.full_score_db = outcome.search.best_score_remeasured;
-        }
-    }
-    return snap;
-}
-
-// Multi-user fig-harmonization scene (tentpole of the shared-basis
-// multi-link work): 32 links (4 APs x 8 clients) over one 16-element
-// 4-phase panel. The per-candidate comparison is the one the
-// MultiLinkCache exists for: gathering all 32 responses through 4 wide
-// group reads (one row selection per distinct transmitter) against the
-// naive form of 32 independent LinkCache::response_into reads (one row
-// selection per link). Both loops score the identical max-min fused
-// reduction and run under the allocation gate. Two end-to-end
-// optimize_multilink searches (greedy delta sweeps and majority vote,
-// both through the max-min fairness combinator) close the section.
-struct HarmonizationSnapshot {
-    std::size_t num_links = 0;
-    std::size_t num_groups = 0;
-    std::uint64_t seed = 0;
-    double build_ms = 0.0;  ///< make_multi_link_scenario wall time
-    double warm_ms = 0.0;   ///< MultiLinkCache::warm (trace + wide basis)
-    double shared_table_mib = 0.0;
-    double naive_table_mib = 0.0;
-    double shared_metadata_kib = 0.0;
-    double naive_metadata_kib = 0.0;
-    double shared_eval_us = 0.0;  ///< 4 wide group reads + fused scoring
-    double naive_eval_us = 0.0;   ///< 32 narrow reads + identical scoring
-    std::uint64_t sweep_allocs = 0;
-    double greedy_ms = 0.0;
-    std::size_t greedy_evals = 0;
-    double greedy_score_db = 0.0;  ///< remeasured max-min utility
-    double majority_ms = 0.0;
-    std::size_t majority_evals = 0;
-    double majority_score_db = 0.0;
-};
-
-HarmonizationSnapshot snapshot_harmonization(std::uint64_t seed) {
-    HarmonizationSnapshot snap;
-    snap.seed = seed;
-
-    auto t0 = Clock::now();
-    core::MultiLinkScenario scenario = core::make_multi_link_scenario(seed);
-    snap.build_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-    snap.num_links = scenario.num_links;
-
-    core::System& system = scenario.system;
-    const sdr::Medium& medium = system.medium();
-    const surface::Array& array = medium.array(scenario.array_id);
-    const surface::ConfigSpace space = array.config_space();
-    const std::vector<int>& radices = space.radices();
-
-    t0 = Clock::now();
-    system.warm_multilink();
-    snap.warm_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-    const core::MultiLinkCache& shared = system.multilink_cache();
-    snap.num_groups = shared.num_groups();
-    const core::MultiLinkCache::MemoryStats mem = shared.memory_stats();
-    snap.shared_table_mib =
-        static_cast<double>(mem.shared_table_bytes + mem.shared_static_bytes) /
-        (1024.0 * 1024.0);
-    snap.naive_table_mib =
-        static_cast<double>(mem.naive_table_bytes + mem.naive_static_bytes) /
-        (1024.0 * 1024.0);
-    snap.shared_metadata_kib =
-        static_cast<double>(mem.shared_metadata_bytes) / 1024.0;
-    snap.naive_metadata_kib =
-        static_cast<double>(mem.naive_metadata_bytes) / 1024.0;
-
-    // The naive side: one LinkCache entry per link, as PR 5 would have it.
-    core::LinkCache naive;
-    for (std::size_t i = 0; i < snap.num_links; ++i)
-        naive.warm(medium, i, system.link(i));
-
-    // Candidate configs pre-expanded (4^16 space: drawn element-wise).
-    util::Rng cfg_rng(4300 + seed);
-    constexpr std::size_t kConfigCycle = 64;
-    std::vector<surface::Config> configs;
-    configs.reserve(kConfigCycle);
-    for (std::size_t i = 0; i < kConfigCycle; ++i) {
-        surface::Config c(space.num_elements());
-        for (std::size_t e = 0; e < c.size(); ++e)
-            c[e] = static_cast<int>(cfg_rng.uniform_int(0, radices[e] - 1));
-        configs.push_back(std::move(c));
-    }
-
-    const util::kernels::Dispatch d = util::kernels::active();
-    const std::size_t num_sc = shared.num_sc();
-    constexpr std::size_t kEvalIters = 1000;
-
-    {   // Shared path: one wide gather per transmitter group, then the
-        // max-min reduction straight off the per-link segments.
-        std::vector<util::kernels::SplitVec> wide(shared.num_groups());
-        const auto score = [&](const surface::Config& c) {
-            double worst = std::numeric_limits<double>::infinity();
-            for (std::size_t g = 0; g < shared.num_groups(); ++g) {
-                shared.group_response_into(medium, g, scenario.array_id, c,
-                                           wide[g]);
-                for (const std::size_t id : shared.group_links(g)) {
-                    const std::size_t off = shared.view(id).offset;
-                    worst = std::min(
-                        worst, util::kernels::abs2_mean(
-                                   d, wide[g].re.data() + off,
-                                   wide[g].im.data() + off, num_sc));
-                }
-            }
-            return worst;
-        };
-        (void)score(configs[0]);  // warm every wide scratch
-        const std::uint64_t armed = allocations();
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kEvalIters; ++i) {
-            volatile double sink = score(configs[i % kConfigCycle]);
-            (void)sink;
-        }
-        snap.shared_eval_us = elapsed_us(t0, Clock::now(), kEvalIters);
-        snap.sweep_allocs += allocations() - armed;
-    }
-
-    {   // Naive path: the identical scoring over 32 independent reads.
-        util::kernels::SplitVec h;
-        const auto score = [&](const surface::Config& c) {
-            double worst = std::numeric_limits<double>::infinity();
-            for (std::size_t i = 0; i < snap.num_links; ++i) {
-                naive.response_into(medium, i, system.link(i),
-                                    scenario.array_id, c, h);
-                worst = std::min(worst,
-                                 util::kernels::abs2_mean(
-                                     d, h.re.data(), h.im.data(), num_sc));
-            }
-            return worst;
-        };
-        (void)score(configs[0]);
-        const std::uint64_t armed = allocations();
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kEvalIters; ++i) {
-            volatile double sink = score(configs[i % kConfigCycle]);
-            (void)sink;
-        }
-        snap.naive_eval_us = elapsed_us(t0, Clock::now(), kEvalIters);
-        snap.sweep_allocs += allocations() - armed;
-    }
-
-    {   // End-to-end composite searches through optimize_multilink: the
-        // max-min fairness combinator under simulated budgets priced for
-        // a 32-link sounding cycle.
-        const control::ControlPlaneModel plane =
-            control::ControlPlaneModel::fast();
-        control::SetConfig probe;
-        probe.array_id = static_cast<std::uint16_t>(scenario.array_id);
-        probe.config.assign(space.num_elements(), 0);
-        const double trial_s = plane.config_trial_time_s(
-            probe, snap.num_links, medium.ofdm().num_used());
-        const std::unique_ptr<control::Objective> objective =
-            control::make_max_min_objective(snap.num_links);
-        {
-            const control::GreedyCoordinateDescent searcher;
-            util::Rng rng(9200 + seed);
-            core::MultiLinkScenario fresh =
-                core::make_multi_link_scenario(seed);
-            t0 = Clock::now();
-            const auto outcome = fresh.system.optimize_multilink(
-                fresh.array_id, *objective, searcher, plane,
-                256.0 * trial_s, rng);
-            snap.greedy_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-            snap.greedy_evals = outcome.search.evaluations;
-            snap.greedy_score_db = outcome.search.best_score_remeasured;
-        }
-        {
-            const control::MajorityVoteSearcher searcher;
-            util::Rng rng(9200 + seed);
-            core::MultiLinkScenario fresh =
-                core::make_multi_link_scenario(seed);
-            t0 = Clock::now();
-            const auto outcome = fresh.system.optimize_multilink(
-                fresh.array_id, *objective, searcher, plane,
-                128.0 * trial_s, rng);
-            snap.majority_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-            snap.majority_evals = outcome.search.evaluations;
-            snap.majority_score_db = outcome.search.best_score_remeasured;
-        }
-    }
-    return snap;
-}
-
-void print_scene(std::FILE* out, const SceneSnapshot& s, bool last) {
-    std::fprintf(
-        out,
-        "    {\n"
-        "      \"scene\": \"%s\",\n"
-        "      \"seed\": %llu,\n"
-        "      \"trace_eval_us\": %.3f,\n"
-        "      \"resynth_eval_us\": %.3f,\n"
-        "      \"cached_eval_us\": %.3f,\n"
-        "      \"cached_eval_off_us\": %.3f,\n"
-        "      \"soa_eval_us\": %.3f,\n"
-        "      \"delta_eval_us\": %.3f,\n"
-        "      \"sweep_allocs\": %llu,\n"
-        "      \"telemetry_overhead_pct\": %.2f,\n"
-        "      \"speedup_vs_trace\": %.1f,\n"
-        "      \"speedup_vs_resynth\": %.1f,\n"
-        "      \"delta_speedup_vs_cached\": %.1f,\n"
-        "      \"search_serial_ms\": %.2f,\n"
-        "      \"search_batched_ms\": %.2f,\n"
-        "      \"search_serial_evals\": %zu,\n"
-        "      \"search_batched_evals\": %zu,\n"
-        "      \"search_speedup\": %.1f\n"
-        "    }%s\n",
-        s.name.c_str(), static_cast<unsigned long long>(s.seed),
-        s.trace_eval_us, s.resynth_eval_us, s.cached_eval_us,
-        s.cached_eval_off_us, s.soa_eval_us, s.delta_eval_us,
-        static_cast<unsigned long long>(s.sweep_allocs),
-        s.telemetry_overhead_pct, s.trace_eval_us / s.cached_eval_us,
-        s.resynth_eval_us / s.cached_eval_us,
-        s.cached_eval_us / s.delta_eval_us, s.search_serial_ms,
-        s.search_batched_ms, s.search_serial_evals, s.search_batched_evals,
-        s.search_serial_ms / s.search_batched_ms, last ? "" : ",");
+std::string format(const char* fmt, auto... args) {
+    char buf[512];
+    std::snprintf(buf, sizeof buf, fmt, args...);
+    return buf;
 }
 
 }  // namespace
@@ -1586,475 +658,165 @@ void print_scene(std::FILE* out, const SceneSnapshot& s, bool last) {
 int main() {
     // Last-N-spans post-mortem: armed for the whole run, dumped to
     // flight_perf_snapshot.json if the process dies on a signal.
-    press::obs::flight_arm();
-    press::obs::flight_install_signal_dump("perf_snapshot");
-    // The snapshot runs with telemetry forced on so the export below is
-    // fully populated (the overhead section toggles it locally), but the
-    // environment's verdict is restored before the export decision so
+    obs::flight_arm();
+    obs::flight_install_signal_dump("perf_snapshot");
+    // Telemetry is forced on so the export is fully populated; the
+    // environment's verdict is restored before the export so
     // PRESS_TELEMETRY=0 still suppresses the file.
-    const bool env_enabled = press::obs::enabled();
-    press::obs::set_enabled(true);
-    const SceneSnapshot fig4 = snapshot_scene("fig4", 100);
-    const SceneSnapshot fig6 = snapshot_scene("fig6", 116);
-    const Fig7Snapshot fig7 = snapshot_fig7(107);
-    const ServiceSnapshot service = snapshot_service(100);
-    const IntrospectionSnapshot introspection = snapshot_introspection(100);
-    const MassiveSnapshot massive = snapshot_massive(1024, 7001);
-    // The bench mask punctures three adjacent RUs (a >=256-tone run) so
-    // the tile spans actually skip whole 256-tone tiles — with the
-    // scenario default (one ~124-tone RU) every tile still intersects an
-    // active range and tile-bounding has nothing to skip.
+    const bool env_enabled = obs::enabled();
+    obs::set_enabled(true);
+
+    // fig4 and fig6 (seeds 100 and 116, non-line-of-sight), then fig4's
+    // end-to-end greedy coordinate-delta search.
+    core::LinkScenario fig4_scene = core::make_link_scenario(100, false);
+    LinkLoops fig4(fig4_scene.system, fig4_scene.array_id,
+                   fig4_scene.link_id, 64, 1234 + 100);
+    gate_link_loops("fig4", fig4);
+    {
+        core::LinkScenario scene = core::make_link_scenario(116, false);
+        LinkLoops fig6(scene.system, scene.array_id, scene.link_id, 64,
+                       1234 + 116);
+        gate_link_loops("fig6", fig6);
+    }
+    {
+        core::LinkScenario fresh = core::make_link_scenario(100, false);
+        util::Rng rng(9100);
+        (void)fresh.system.optimize_fast(
+            fresh.array_id, control::MinSnrObjective(0),
+            control::GreedyCoordinateDescent(),
+            control::ControlPlaneModel::fast(), /*budget_s=*/2.0, rng);
+    }
+    run_fig7(107);
+    const Introspection service = run_service(100);
+    run_massive(7001);
+
+    // Wi-Fi 6E 160 MHz (996 tones) and Wi-Fi 7 320 MHz (1960 tones). The
+    // mask punctures three adjacent RUs (a >=256-tone run) so the tile
+    // spans skip whole 256-tone tiles; the scenario default (one ~124-tone
+    // RU) leaves every tile intersecting an active range.
     core::WidebandParams p160;
     p160.punctured_rus = {4, 5, 6};
-    const WidebandSnapshot wb996 =
-        snapshot_wideband("wifi6e_160", p160, 8101, /*run_search=*/true);
-    core::WidebandParams p320;
-    p320.ofdm = phy::OfdmParams::wifi7_320();
-    p320.punctured_rus = {4, 5, 6};
-    const WidebandSnapshot wb1960 =
-        snapshot_wideband("wifi7_320", p320, 8101, /*run_search=*/false);
-    const HarmonizationSnapshot harmonization = snapshot_harmonization(4242);
-
-    std::FILE* out = std::fopen("BENCH_observe.json", "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot open BENCH_observe.json\n");
-        return 1;
-    }
-    std::fprintf(out, "{\n  \"threads\": %zu,\n  \"kernel_dispatch\": \"%s\",\n",
-                 press::control::BatchEvaluator::resolve_threads(0),
-                 press::util::kernels::dispatch_name(
-                     press::util::kernels::active()));
-    // Per-candidate batch-eval latency distribution, folded in from the
-    // control.batch.eval_us histogram the optimize_fast searches above
-    // populated (percentiles are bucket upper bounds, so conservative).
+    core::WidebandScenario wb996_scene =
+        core::make_wideband_scenario(8101, p160);
+    LinkLoops wb996(wb996_scene.system, wb996_scene.array_id,
+                    wb996_scene.link_id, 32, 1234 + 8101);
+    wb996.use_spans(wb996_scene.mask);
+    gate_wideband_loops("wifi6e_160", wb996);
     {
-        const auto snapshot = press::obs::MetricsRegistry::global().snapshot();
-        for (const auto& h : snapshot.histograms) {
-            if (h.name != "control.batch.eval_us") continue;
-            std::fprintf(
-                out,
-                "  \"eval_latency_us\": {\n"
-                "    \"count\": %llu,\n"
-                "    \"mean\": %.3f,\n"
-                "    \"p50\": %.1f,\n"
-                "    \"p99\": %.1f\n"
-                "  },\n",
-                static_cast<unsigned long long>(h.count),
-                h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0,
-                approx_percentile_us(h, 0.50),
-                approx_percentile_us(h, 0.99));
-        }
+        util::Rng rng(9300 + 8101);
+        (void)wb996_scene.system.optimize_fast(
+            wb996_scene.array_id,
+            control::MaskedSnrObjective(wb996_scene.mask,
+                                        control::FusedSpec::Kind::kMinSnr,
+                                        wb996_scene.link_id),
+            control::GreedyCoordinateDescent(),
+            control::ControlPlaneModel::fast(),
+            trial_budget_s(wb996_scene.system, wb996_scene.array_id, 1,
+                           2048.0),
+            rng);
     }
-    std::fprintf(out, "  \"scenes\": [\n");
-    print_scene(out, fig4, false);
-    print_scene(out, fig6, true);
-    std::fprintf(out,
-                 "  ],\n"
-                 "  \"fig7\": {\n"
-                 "    \"general_eval_us\": %.3f,\n"
-                 "    \"sweep_allocs\": %llu,\n"
-                 "    \"search_batched_ms\": %.2f,\n"
-                 "    \"search_batched_evals\": %zu\n"
-                 "  },\n",
-                 fig7.general_eval_us,
-                 static_cast<unsigned long long>(fig7.sweep_allocs),
-                 fig7.search_batched_ms, fig7.search_batched_evals);
-    std::fprintf(out,
-                 "  \"service\": {\n"
-                 "    \"requests_per_s\": %.1f,\n"
-                 "    \"admitted\": %llu,\n"
-                 "    \"served\": %llu,\n"
-                 "    \"rejected\": %llu,\n"
-                 "    \"expired\": %llu,\n"
-                 "    \"request_p50_us\": %.1f,\n"
-                 "    \"request_p99_us\": %.1f,\n"
-                 "    \"queue_wait_p99_us\": %.1f,\n"
-                 "    \"accounting_balanced\": %s\n"
-                 "  },\n",
-                 service.requests_per_s,
-                 static_cast<unsigned long long>(service.admitted),
-                 static_cast<unsigned long long>(service.served),
-                 static_cast<unsigned long long>(service.rejected),
-                 static_cast<unsigned long long>(service.expired),
-                 service.request_p50_us, service.request_p99_us,
-                 service.queue_wait_p99_us,
-                 service.balanced ? "true" : "false");
-    std::fprintf(out,
-                 "  \"introspection\": {\n"
-                 "    \"unsub_requests_per_s\": %.1f,\n"
-                 "    \"sub_requests_per_s\": %.1f,\n"
-                 "    \"overhead_pct\": %.2f,\n"
-                 "    \"paired_delta_pct\": %.2f,\n"
-                 "    \"sample_us\": %.2f,\n"
-                 "    \"frame_us\": %.2f,\n"
-                 "    \"frames\": %llu,\n"
-                 "    \"exemplars\": %llu,\n"
-                 "    \"invalid_frames\": %llu,\n"
-                 "    \"samples\": %llu,\n"
-                 "    \"frames_dropped\": %llu,\n"
-                 "    \"slo_alarms\": %llu,\n"
-                 "    \"flight_taps\": %llu,\n"
-                 "    \"burn_series\": %llu,\n"
-                 "    \"burn_peak\": %.1f,\n"
-                 "    \"sample_allocs\": %llu,\n"
-                 "    \"accounting_balanced\": %s\n"
-                 "  },\n",
-                 introspection.unsub_requests_per_s,
-                 introspection.sub_requests_per_s,
-                 introspection.overhead_pct,
-                 introspection.paired_delta_pct, introspection.sample_us,
-                 introspection.frame_us,
-                 static_cast<unsigned long long>(introspection.frames),
-                 static_cast<unsigned long long>(introspection.exemplars),
-                 static_cast<unsigned long long>(
-                     introspection.invalid_frames),
-                 static_cast<unsigned long long>(introspection.samples),
-                 static_cast<unsigned long long>(
-                     introspection.frames_dropped),
-                 static_cast<unsigned long long>(introspection.slo_alarms),
-                 static_cast<unsigned long long>(introspection.taps),
-                 static_cast<unsigned long long>(introspection.burn_series),
-                 introspection.burn_peak,
-                 static_cast<unsigned long long>(
-                     introspection.sample_allocs),
-                 introspection.balanced ? "true" : "false");
-    std::fprintf(out,
-                 "  \"massive\": {\n"
-                 "    \"n_elements\": %zu,\n"
-                 "    \"seed\": %llu,\n"
-                 "    \"build_ms\": %.1f,\n"
-                 "    \"warm_ms\": %.1f,\n"
-                 "    \"basis_rows\": %zu,\n"
-                 "    \"basis_row_stride\": %zu,\n"
-                 "    \"basis_mib\": %.2f,\n"
-                 "    \"soa_eval_us\": %.3f,\n"
-                 "    \"delta_eval_us\": %.3f,\n"
-                 "    \"sweep_allocs\": %llu,\n"
-                 "    \"hardware_threads\": %zu,\n"
-                 "    \"scaling\": [\n",
-                 massive.n_elements,
-                 static_cast<unsigned long long>(massive.seed),
-                 massive.build_ms, massive.warm_ms, massive.basis_rows,
-                 massive.basis_row_stride, massive.basis_mib,
-                 massive.soa_eval_us, massive.delta_eval_us,
-                 static_cast<unsigned long long>(massive.sweep_allocs),
-                 massive.hardware_threads);
-    for (std::size_t i = 0; i < massive.scaling.size(); ++i) {
-        const auto& p = massive.scaling[i];
-        std::fprintf(out,
-                     "      {\"threads\": %zu, \"eval_us\": %.3f, "
-                     "\"speedup\": %.2f, \"efficiency\": %.2f}%s\n",
-                     p.threads, p.eval_us, p.speedup, p.efficiency,
-                     i + 1 < massive.scaling.size() ? "," : "");
+    {
+        core::WidebandParams p320 = p160;
+        p320.ofdm = phy::OfdmParams::wifi7_320();
+        core::WidebandScenario scene =
+            core::make_wideband_scenario(8101, p320);
+        LinkLoops wb1960(scene.system, scene.array_id, scene.link_id, 32,
+                         1234 + 8101);
+        wb1960.use_spans(scene.mask);
+        gate_wideband_loops("wifi7_320", wb1960);
     }
-    std::fprintf(out,
-                 "    ],\n"
-                 "    \"greedy_ms\": %.1f,\n"
-                 "    \"greedy_evals\": %zu,\n"
-                 "    \"greedy_score_db\": %.3f,\n"
-                 "    \"majority_ms\": %.1f,\n"
-                 "    \"majority_evals\": %zu,\n"
-                 "    \"majority_score_db\": %.3f,\n"
-                 "    \"score_fraction\": %.3f,\n"
-                 "    \"eval_fraction\": %.3f\n"
-                 "  },\n",
-                 massive.greedy_ms, massive.greedy_evals,
-                 massive.greedy_score, massive.majority_ms,
-                 massive.majority_evals, massive.majority_score,
-                 massive.score_fraction, massive.eval_fraction);
-    std::fprintf(out, "  \"wideband\": {\n    \"variants\": [\n");
-    for (const WidebandSnapshot* w : {&wb996, &wb1960}) {
-        std::fprintf(
-            out,
-            "      {\n"
-            "        \"band\": \"%s\",\n"
-            "        \"seed\": %llu,\n"
-            "        \"fft_size\": %zu,\n"
-            "        \"num_used\": %zu,\n"
-            "        \"active_tones\": %zu,\n"
-            "        \"tile_spans\": %zu,\n"
-            "        \"covered_tones\": %zu,\n"
-            "        \"build_ms\": %.1f,\n"
-            "        \"warm_ms\": %.1f,\n"
-            "        \"basis_rows\": %zu,\n"
-            "        \"basis_mib\": %.2f,\n"
-            "        \"soa_eval_us\": %.3f,\n"
-            "        \"masked_eval_us\": %.3f,\n"
-            "        \"delta_eval_us\": %.3f,\n"
-            "        \"masked_delta_eval_us\": %.3f,\n"
-            "        \"plan_fwd_us\": %.3f,\n"
-            "        \"soa_per_tone_ns\": %.3f,\n"
-            "        \"delta_per_tone_ns\": %.3f,\n"
-            "        \"masked_delta_per_tone_ns\": %.3f,\n"
-            "        \"sweep_allocs\": %llu",
-            w->band.c_str(), static_cast<unsigned long long>(w->seed),
-            w->fft_size, w->num_used, w->active_tones, w->num_spans,
-            w->covered_tones, w->build_ms, w->warm_ms, w->basis_rows,
-            w->basis_mib, w->soa_eval_us, w->masked_eval_us,
-            w->delta_eval_us, w->masked_delta_eval_us, w->plan_fwd_us,
-            w->soa_per_tone_ns, w->delta_per_tone_ns,
-            w->masked_delta_per_tone_ns,
-            static_cast<unsigned long long>(w->sweep_allocs));
-        if (w->searched)
-            std::fprintf(
-                out,
-                ",\n"
-                "        \"masked_search_ms\": %.1f,\n"
-                "        \"masked_search_evals\": %zu,\n"
-                "        \"masked_score_db\": %.3f,\n"
-                "        \"full_search_ms\": %.1f,\n"
-                "        \"full_search_evals\": %zu,\n"
-                "        \"full_score_db\": %.3f",
-                w->masked_search_ms, w->masked_search_evals,
-                w->masked_score_db, w->full_search_ms,
-                w->full_search_evals, w->full_score_db);
-        std::fprintf(out, "\n      }%s\n", w == &wb1960 ? "" : ",");
-    }
-    const double fig4_delta_per_tone_ns =
-        fig4.delta_eval_us * 1000.0 /
-        static_cast<double>(phy::OfdmParams::wifi20().num_used());
-    std::fprintf(out,
-                 "    ],\n"
-                 "    \"fig4_delta_per_tone_ns\": %.3f\n"
-                 "  },\n",
-                 fig4_delta_per_tone_ns);
-    std::fprintf(out,
-                 "  \"harmonization\": {\n"
-                 "    \"scene\": \"fig-harmonization\",\n"
-                 "    \"seed\": %llu,\n"
-                 "    \"num_links\": %zu,\n"
-                 "    \"num_groups\": %zu,\n"
-                 "    \"build_ms\": %.1f,\n"
-                 "    \"warm_ms\": %.1f,\n"
-                 "    \"shared_table_mib\": %.2f,\n"
-                 "    \"naive_table_mib\": %.2f,\n"
-                 "    \"shared_metadata_kib\": %.2f,\n"
-                 "    \"naive_metadata_kib\": %.2f,\n"
-                 "    \"shared_eval_us\": %.3f,\n"
-                 "    \"naive_eval_us\": %.3f,\n"
-                 "    \"shared_speedup\": %.2f,\n"
-                 "    \"sweep_allocs\": %llu,\n"
-                 "    \"greedy_ms\": %.1f,\n"
-                 "    \"greedy_evals\": %zu,\n"
-                 "    \"greedy_score_db\": %.3f,\n"
-                 "    \"majority_ms\": %.1f,\n"
-                 "    \"majority_evals\": %zu,\n"
-                 "    \"majority_score_db\": %.3f\n"
-                 "  }\n}\n",
-                 static_cast<unsigned long long>(harmonization.seed),
-                 harmonization.num_links, harmonization.num_groups,
-                 harmonization.build_ms, harmonization.warm_ms,
-                 harmonization.shared_table_mib,
-                 harmonization.naive_table_mib,
-                 harmonization.shared_metadata_kib,
-                 harmonization.naive_metadata_kib,
-                 harmonization.shared_eval_us, harmonization.naive_eval_us,
-                 harmonization.naive_eval_us / harmonization.shared_eval_us,
-                 static_cast<unsigned long long>(harmonization.sweep_allocs),
-                 harmonization.greedy_ms, harmonization.greedy_evals,
-                 harmonization.greedy_score_db, harmonization.majority_ms,
-                 harmonization.majority_evals,
-                 harmonization.majority_score_db);
-    std::fclose(out);
+    run_harmonization(4242);
 
-    for (const SceneSnapshot* s : {&fig4, &fig6}) {
-        std::printf(
-            "%s: trace %.1f us  resynth %.1f us  cached %.3f us  "
-            "soa %.3f us  delta %.3f us  "
-            "(speedup %0.fx / %.0fx, telemetry %+.2f%%)  "
-            "search %.1f ms -> %.1f ms\n",
-            s->name.c_str(), s->trace_eval_us, s->resynth_eval_us,
-            s->cached_eval_us, s->soa_eval_us, s->delta_eval_us,
-            s->trace_eval_us / s->cached_eval_us,
-            s->resynth_eval_us / s->cached_eval_us,
-            s->telemetry_overhead_pct, s->search_serial_ms,
-            s->search_batched_ms);
-    }
-    std::printf("fig7: general %.3f us/candidate  search %.1f ms (%zu evals)\n",
-                fig7.general_eval_us, fig7.search_batched_ms,
-                fig7.search_batched_evals);
-    std::printf(
-        "service: %.0f req/s  p50 %.0f us  p99 %.0f us  "
-        "(served %llu, rejected %llu, expired %llu, ledger %s)\n",
-        service.requests_per_s, service.request_p50_us,
-        service.request_p99_us,
-        static_cast<unsigned long long>(service.served),
-        static_cast<unsigned long long>(service.rejected),
-        static_cast<unsigned long long>(service.expired),
-        service.balanced ? "balanced" : "UNBALANCED");
-    std::printf(
-        "introspection: %.0f req/s unwatched vs %.0f req/s watched  "
-        "plane cost %.2f%% (A/B %+.2f%%, sample %.1f us, frame %.1f us)  "
-        "frames %llu  exemplars %llu  burn peak %.0f  taps %llu\n",
-        introspection.unsub_requests_per_s,
-        introspection.sub_requests_per_s, introspection.overhead_pct,
-        introspection.paired_delta_pct, introspection.sample_us,
-        introspection.frame_us,
-        static_cast<unsigned long long>(introspection.frames),
-        static_cast<unsigned long long>(introspection.exemplars),
-        introspection.burn_peak,
-        static_cast<unsigned long long>(introspection.taps));
-    std::printf(
-        "massive(n=%zu): build %.0f ms  warm %.0f ms  basis %.1f MiB  "
-        "soa %.1f us  delta %.3f us\n",
-        massive.n_elements, massive.build_ms, massive.warm_ms,
-        massive.basis_mib, massive.soa_eval_us, massive.delta_eval_us);
-    for (const auto& p : massive.scaling)
-        std::printf("  threads=%zu  %.1f us/eval  speedup %.2fx  "
-                    "efficiency %.2f (hw=%zu)\n",
-                    p.threads, p.eval_us, p.speedup, p.efficiency,
-                    massive.hardware_threads);
-    std::printf(
-        "  greedy %zu evals -> %.2f dB (%.1f s)  majority %zu evals -> "
-        "%.2f dB (%.1f s)  score %.1f%% at %.1f%% of the evals\n",
-        massive.greedy_evals, massive.greedy_score,
-        massive.greedy_ms / 1000.0, massive.majority_evals,
-        massive.majority_score, massive.majority_ms / 1000.0,
-        massive.score_fraction * 100.0, massive.eval_fraction * 100.0);
-    for (const WidebandSnapshot* w : {&wb996, &wb1960}) {
-        std::printf(
-            "wideband(%s, %zu tones, %zu active, %zu covered): "
-            "basis %.1f MiB  soa %.2f us (masked %.2f us)  "
-            "delta %.3f us (masked %.3f us)  plan fft%zu %.2f us  "
-            "per-tone masked delta %.3f ns\n",
-            w->band.c_str(), w->num_used, w->active_tones,
-            w->covered_tones, w->basis_mib, w->soa_eval_us,
-            w->masked_eval_us, w->delta_eval_us, w->masked_delta_eval_us,
-            w->fft_size, w->plan_fwd_us, w->masked_delta_per_tone_ns);
-        if (w->searched)
-            std::printf(
-                "  masked %zu evals -> %.2f dB (%.1f s)  full-band %zu "
-                "evals -> %.2f dB (%.1f s)\n",
-                w->masked_search_evals, w->masked_score_db,
-                w->masked_search_ms / 1000.0, w->full_search_evals,
-                w->full_score_db, w->full_search_ms / 1000.0);
-    }
-    std::printf(
-        "harmonization(links=%zu, groups=%zu): build %.0f ms  warm %.0f ms  "
-        "shared %.3f us/eval vs naive %.3f us/eval (%.2fx)  "
-        "metadata %.1f KiB vs %.1f KiB\n",
-        harmonization.num_links, harmonization.num_groups,
-        harmonization.build_ms, harmonization.warm_ms,
-        harmonization.shared_eval_us, harmonization.naive_eval_us,
-        harmonization.naive_eval_us / harmonization.shared_eval_us,
-        harmonization.shared_metadata_kib, harmonization.naive_metadata_kib);
-    std::printf(
-        "  max-min greedy %zu evals -> %.2f dB (%.1f s)  majority %zu "
-        "evals -> %.2f dB (%.1f s)\n",
-        harmonization.greedy_evals, harmonization.greedy_score_db,
-        harmonization.greedy_ms / 1000.0, harmonization.majority_evals,
-        harmonization.majority_score_db, harmonization.majority_ms / 1000.0);
-    std::printf("wrote BENCH_observe.json\n");
-
-    // The no-silent-drops ledger is gated like the allocation contract:
-    // a service sweep that loses track of an admitted request fails the
-    // run outright.
-    if (!service.balanced) {
-        std::fprintf(stderr,
-                     "FAIL: service accounting unbalanced (admitted %llu != "
-                     "served %llu + expired %llu + ...)\n",
-                     static_cast<unsigned long long>(service.admitted),
-                     static_cast<unsigned long long>(service.served),
-                     static_cast<unsigned long long>(service.expired));
-        return 1;
+    // The per-tone gate: what the masked search pays per tone of the
+    // 996-tone numerology (the fused tile-bounded delta over num_used)
+    // may not exceed fig4's 52-tone copy-then-add. At 996 tones the
+    // two-step candidate falls out of L1; the fused single pass (60% of
+    // the traffic) plus tile skipping buys the per-tone line back, and a
+    // breach means that machinery stopped paying for itself. The two
+    // loops are timed interleaved and compared by their minima, so a
+    // scheduler hiccup in one repetition cannot decide the verdict. The
+    // 320 MHz variant is not gated: at 1960 tones even the tile-bounded
+    // working set exceeds L1, so it is L2-bandwidth-bound by construction.
+    constexpr int kReps = 7;
+    double fig4_ns = std::numeric_limits<double>::infinity();
+    double wb996_ns = std::numeric_limits<double>::infinity();
+    const double fig4_tones =
+        static_cast<double>(fig4.medium.ofdm().num_used());
+    const double wb996_tones =
+        static_cast<double>(wb996.medium.ofdm().num_used());
+    for (int rep = 0; rep < kReps; ++rep) {
+        fig4_ns = std::min(
+            fig4_ns, time_us(kEvalIters,
+                             [&](std::size_t i) { fig4.delta(i); }) *
+                         1000.0 / fig4_tones);
+        wb996_ns = std::min(
+            wb996_ns, time_us(kEvalIters,
+                              [&](std::size_t i) { wb996.masked_delta(i); }) *
+                          1000.0 / wb996_tones);
     }
 
-    // Introspection correctness gates: the burst must raise the alarm
-    // and reach the subscriber, every streamed frame must validate, and
-    // a live subscriber may not meaningfully slow the service down.
-    if (introspection.slo_alarms == 0 || introspection.taps == 0 ||
-        introspection.burn_series < 3 || !introspection.balanced) {
-        std::fprintf(
-            stderr,
-            "FAIL: SLO burn burst not observed (alarms=%llu taps=%llu "
-            "burn_series=%llu balanced=%d)\n",
-            static_cast<unsigned long long>(introspection.slo_alarms),
-            static_cast<unsigned long long>(introspection.taps),
-            static_cast<unsigned long long>(introspection.burn_series),
-            introspection.balanced ? 1 : 0);
-        return 1;
+    Verdicts verdicts;
+    std::uint64_t allocs = 0;
+    std::string offenders;
+    for (const auto& [loop, made] : g_gated) {
+        allocs += made;
+        if (made != 0)
+            offenders += format(" [%s: %llu]", loop.c_str(),
+                                static_cast<unsigned long long>(made));
     }
-    if (introspection.frames == 0 || introspection.exemplars == 0 ||
-        introspection.invalid_frames != 0 ||
-        introspection.frames_dropped != 0) {
-        std::fprintf(
-            stderr,
-            "FAIL: subscribed sweep telemetry malformed (frames=%llu "
-            "exemplars=%llu invalid=%llu dropped=%llu)\n",
-            static_cast<unsigned long long>(introspection.frames),
-            static_cast<unsigned long long>(introspection.exemplars),
-            static_cast<unsigned long long>(introspection.invalid_frames),
-            static_cast<unsigned long long>(introspection.frames_dropped));
-        return 1;
-    }
-    if (introspection.overhead_pct > 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: live subscriber costs %.2f%% throughput "
-                     "(budget 2%%: %.0f req/s -> %.0f req/s)\n",
-                     introspection.overhead_pct,
-                     introspection.unsub_requests_per_s,
-                     introspection.sub_requests_per_s);
-        return 1;
-    }
+    verdicts.check(allocs == 0, "allocations",
+                   format("%llu heap allocation(s) in %zu warmed loops%s",
+                          static_cast<unsigned long long>(allocs),
+                          g_gated.size(), offenders.c_str()));
+    verdicts.check(wb996_ns <= fig4_ns, "per-tone",
+                   format("wifi6e_160 masked delta %.3f ns/tone, fig4 delta "
+                          "%.3f ns/tone (minima of %d interleaved reps)",
+                          wb996_ns, fig4_ns, kReps));
+    verdicts.check(service.plane_pct <= 2.0, "plane cost",
+                   format("%.2f%% of service time, budget 2%% (%llu samples "
+                          "x %.2f us, %llu frames x %.2f us)",
+                          service.plane_pct,
+                          static_cast<unsigned long long>(service.samples),
+                          service.sample_us,
+                          static_cast<unsigned long long>(
+                              service.sweep_frames),
+                          service.frame_us));
+    verdicts.check(service.balanced, "ledger",
+                   format("admitted %llu: served %llu, rejected %llu, "
+                          "expired %llu",
+                          static_cast<unsigned long long>(service.admitted),
+                          static_cast<unsigned long long>(service.served),
+                          static_cast<unsigned long long>(service.rejected),
+                          static_cast<unsigned long long>(service.expired)));
+    verdicts.check(
+        service.slo_alarms > 0 && service.taps > 0 &&
+            service.burn_series >= 3 && service.frames > 0 &&
+            service.exemplars > 0 && service.invalid_frames == 0 &&
+            service.frames_dropped == 0,
+        "introspection",
+        format("alarms %llu, taps %llu, burn series %llu (>= 3), frames "
+               "%llu, exemplars %llu, invalid %llu, dropped %llu",
+               static_cast<unsigned long long>(service.slo_alarms),
+               static_cast<unsigned long long>(service.taps),
+               static_cast<unsigned long long>(service.burn_series),
+               static_cast<unsigned long long>(service.frames),
+               static_cast<unsigned long long>(service.exemplars),
+               static_cast<unsigned long long>(service.invalid_frames),
+               static_cast<unsigned long long>(service.frames_dropped)));
 
-    // Wideband acceptance gate: what the masked search pays per tone of
-    // the 996-tone numerology (the fused tile-bounded delta over
-    // num_used) may not exceed the 52-tone fig4 scene's copy-then-add
-    // per-tone cost. At 996 tones the two-step candidate falls out of
-    // L1; the fused single pass (60% of the traffic) plus tile skipping
-    // is what buys the per-tone line back, and a breach means that
-    // machinery stopped paying for itself. The 320 MHz variant is
-    // reported for trend tracking but not gated: at 1960 tones even the
-    // tile-bounded working set exceeds L1 on any current core, so its
-    // per-tone cost is L2-bandwidth-bound by construction.
-    if (wb996.masked_delta_per_tone_ns > fig4_delta_per_tone_ns) {
-        std::fprintf(stderr,
-                     "FAIL: wideband(%s) per-tone masked delta cost %.3f "
-                     "ns exceeds fig4's %.3f ns\n",
-                     wb996.band.c_str(), wb996.masked_delta_per_tone_ns,
-                     fig4_delta_per_tone_ns);
-        return 1;
-    }
-
-    // The zero-allocation contract is a hard gate, not a trend: any heap
-    // allocation inside a warmed steady-state sweep fails the run.
-    const std::uint64_t sweep_allocs =
-        fig4.sweep_allocs + fig6.sweep_allocs + fig7.sweep_allocs +
-        massive.sweep_allocs + wb996.sweep_allocs + wb1960.sweep_allocs +
-        harmonization.sweep_allocs + introspection.sample_allocs;
-    if (sweep_allocs != 0) {
-        std::fprintf(
-            stderr,
-            "FAIL: %llu heap allocation(s) inside steady-state "
-            "sweeps (fig4=%llu fig6=%llu fig7=%llu massive=%llu "
-            "wideband=%llu harmonization=%llu timeseries=%llu)\n",
-            static_cast<unsigned long long>(sweep_allocs),
-            static_cast<unsigned long long>(fig4.sweep_allocs),
-            static_cast<unsigned long long>(fig6.sweep_allocs),
-            static_cast<unsigned long long>(fig7.sweep_allocs),
-            static_cast<unsigned long long>(massive.sweep_allocs),
-            static_cast<unsigned long long>(wb996.sweep_allocs +
-                                            wb1960.sweep_allocs),
-            static_cast<unsigned long long>(harmonization.sweep_allocs),
-            static_cast<unsigned long long>(introspection.sample_allocs));
-        return 1;
-    }
-
-    // Emit the press.telemetry/v2 export plus its Chrome Trace rendering
-    // next to BENCH_observe.json so every perf PR leaves a comparable
-    // trace (cache hit rates, per-worker task counts, span timings and
-    // the causal tree from the searches above).
-    press::obs::set_enabled(env_enabled);
+    // The press.telemetry/v2 export plus its Chrome Trace rendering: the
+    // counters bench_diff gates, and the causal tree of the searches.
+    obs::set_enabled(env_enabled);
     // The manifest scenario is the comma-separated scene list: bench_diff
     // compares it as a token set, so adding a scene later only warns
     // until the baseline is re-snapshotted, while dropping one fails.
-    const press::obs::RunManifest manifest = press::obs::RunManifest::capture(
+    const obs::RunManifest manifest = obs::RunManifest::capture(
         "perf_snapshot,fig4,fig6,fig7,service,introspection,massive,"
         "wideband,harmonization",
         100);
-    const press::obs::RunExportPaths paths =
-        press::obs::write_run_exports("perf_snapshot", manifest);
+    const obs::RunExportPaths paths =
+        obs::write_run_exports("perf_snapshot", manifest);
     if (paths.telemetry) std::printf("wrote %s\n", paths.telemetry->c_str());
     if (paths.trace) std::printf("wrote %s\n", paths.trace->c_str());
-    return 0;
+    return verdicts.failed ? 1 : 0;
 }

@@ -4,8 +4,6 @@
 // signal dominates over the reflection of much lower strength from the
 // passive PRESS elements. This suggests that a passive PRESS array is best
 // suited to improving non-line-of-sight links."
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "core/experiments.hpp"
@@ -58,22 +56,9 @@ void reproduce_claim() {
        << " dB.\n\n";
 }
 
-void BM_TrueSwingLoS(benchmark::State& state) {
-    using namespace press;
-    core::StudyParams p;
-    p.link_distance_m = 1.5;
-    core::LinkScenario scenario = core::make_link_scenario(200, true, p);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(core::max_true_swing_db(scenario));
-    }
-}
-BENCHMARK(BM_TrueSwingLoS)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     reproduce_claim();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

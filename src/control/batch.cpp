@@ -1,15 +1,8 @@
 #include "control/batch.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <string>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -24,33 +17,7 @@ double seconds_between(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
-/// Best-effort affinity: worker i sticks to CPU i mod hardware
-/// concurrency. Failure is ignored (cpusets, containers) — pinning is an
-/// optimization, never a correctness requirement.
-void pin_to_cpu(std::size_t worker_index) {
-#if defined(__linux__)
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0) return;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<int>(worker_index % hw), &set);
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-    (void)worker_index;
-#endif
-}
-
 }  // namespace
-
-bool thread_pinning_enabled() {
-    const char* env = std::getenv("PRESS_PIN");
-    if (env == nullptr) return false;
-    std::string value(env);
-    std::transform(value.begin(), value.end(), value.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    return !(value.empty() || value == "0" || value == "off" ||
-             value == "false");
-}
 
 std::size_t BatchEvaluator::shard_size_for(std::size_t tasks,
                                            std::size_t workers) {
@@ -142,7 +109,6 @@ void BatchEvaluator::set_coordinate_score(CoordinateScoreFn fn) {
 }
 
 void BatchEvaluator::worker_loop(std::size_t index) {
-    if (thread_pinning_enabled()) pin_to_cpu(index);
     std::unique_lock<std::mutex> lock(mutex_);
     WorkerStats& stats = stats_[index];
     EvalScratch& scratch = *scratch_[index];
@@ -236,8 +202,6 @@ void BatchEvaluator::publish_worker_stats() const {
     auto& registry = obs::MetricsRegistry::global();
     registry.gauge("control.batch.threads")
         .set(static_cast<double>(stats.size()));
-    registry.gauge("control.batch.pinned")
-        .set(thread_pinning_enabled() ? 1.0 : 0.0);
     registry.gauge("control.batch.arena.grow_events")
         .set(static_cast<double>(arena.grow_events));
     registry.gauge("control.batch.arena.bytes_reserved")

@@ -34,11 +34,7 @@
 //
 // Thread count resolution: an explicit count wins; otherwise the
 // PRESS_THREADS environment variable (clamped to [1, 64]); otherwise
-// std::thread::hardware_concurrency(). Setting PRESS_PIN pins worker i to
-// CPU i mod hardware_concurrency (Linux; a no-op elsewhere) — useful to
-// stop the scheduler migrating workers between cores mid-sweep on
-// many-core hosts, which costs both cache warmth and run-to-run timing
-// stability. Pinning never affects results, only where they are computed.
+// std::thread::hardware_concurrency().
 #pragma once
 
 #include <cstdint>
@@ -77,11 +73,6 @@ struct CoordinateBatch {
 using CoordinateScoreFn = std::function<double(
     const CoordinateBatch&, std::size_t state_index, util::Rng&,
     EvalScratch&)>;
-
-/// PRESS_PIN environment toggle for worker-thread CPU affinity: enabled
-/// unless unset, empty, "0", "off" or "false" (case-insensitive). Linux
-/// only; elsewhere the toggle parses but pinning is a no-op.
-bool thread_pinning_enabled();
 
 class BatchEvaluator {
 public:

@@ -53,19 +53,6 @@ void LinkCache::read(const sdr::Medium& medium, std::size_t link_id,
                         config, skip_element, ranges, num_ranges, out);
 }
 
-util::CVec LinkCache::response_with(const sdr::Medium& medium,
-                                    std::size_t link_id,
-                                    const sdr::Link& link,
-                                    std::size_t array_id,
-                                    const surface::Config& config) const {
-    util::kernels::SplitVec h;
-    response_into(medium, link_id, link, array_id, config, h);
-    util::CVec out(h.size());
-    util::kernels::interleave(h.re.data(), h.im.data(), out.data(),
-                              h.size());
-    return out;
-}
-
 void LinkCache::response_into(const sdr::Medium& medium,
                               std::size_t link_id, const sdr::Link& link,
                               std::size_t array_id,

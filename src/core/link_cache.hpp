@@ -31,15 +31,10 @@ public:
     BasisLayout basis_layout(std::size_t link_id, std::size_t array_id) const;
 
     /// CFR with array `array_id`'s states overridden by `config` (other
-    /// arrays stay at their current states). Requires a warm, current
+    /// arrays stay at their current states), written into caller-owned
+    /// scratch resized to the subcarrier count. Requires a warm, current
     /// entry (see warm()); never rebuilds, and reads only immutable entry
     /// state — safe to call concurrently from a batch evaluator.
-    util::CVec response_with(const sdr::Medium& medium, std::size_t link_id,
-                             const sdr::Link& link, std::size_t array_id,
-                             const surface::Config& config) const;
-
-    /// The allocation-free form of response_with(): writes the same bits
-    /// into caller-owned scratch, resized to the subcarrier count.
     void response_into(const sdr::Medium& medium, std::size_t link_id,
                        const sdr::Link& link, std::size_t array_id,
                        const surface::Config& config,

@@ -135,8 +135,8 @@ public:
     /// Each candidate draws its fault distortion first, then its links'
     /// sounding noise in that order, from a private rng stream, so results
     /// are bit-reproducible for a given rng state regardless of `threads`
-    /// (0 = PRESS_THREADS env override, else hardware default) and kernel
-    /// flavor. The best configuration found is applied before returning.
+    /// (0 = PRESS_THREADS env override, else hardware default). The best
+    /// configuration found is applied before returning.
     control::OptimizationOutcome optimize_fast(
         std::size_t array_id, const control::Objective& objective,
         const control::Searcher& searcher,

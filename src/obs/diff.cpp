@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace press::obs {
 
@@ -19,12 +18,6 @@ constexpr const char* kStrictIdentity[] = {"press_threads", "seed"};
 /// warnings (toolchain changes may legitimately shift FP trajectories).
 constexpr const char* kAdvisoryIdentity[] = {"build_type", "compiler",
                                              "sanitize"};
-/// Manifest fields recorded and reported on mismatch but deliberately
-/// NOT softening: the scalar and native kernel flavors are bit-identical
-/// by contract, so counter drift across a kernel_dispatch change is a
-/// real regression (the CI scalar-vs-native leg diffs at 0% tolerance
-/// and must stay a hard gate).
-constexpr const char* kInformationalIdentity[] = {"kernel_dispatch"};
 
 std::string value_str(const Json& v) {
     if (v.is_string()) return v.as_string();
@@ -70,10 +63,6 @@ Json make_baseline(const Json& telemetry) {
     manifest.emplace("scenario", src.at("scenario"));
     for (const char* key : kAdvisoryIdentity)
         manifest.emplace(key, src.at(key));
-    // Older exports predate kernel_dispatch; baselines written from them
-    // simply omit the field.
-    for (const char* key : kInformationalIdentity)
-        if (src.contains(key)) manifest.emplace(key, src.at(key));
 
     Json::Object root;
     root.emplace("schema", "press.bench_baseline/v1");
@@ -84,8 +73,7 @@ Json make_baseline(const Json& telemetry) {
     return Json(std::move(root));
 }
 
-DiffResult diff_telemetry(const Json& baseline, const Json& current,
-                          double tolerance_pct) {
+DiffResult diff_telemetry(const Json& baseline, const Json& current) {
     DiffResult result;
     if (!baseline.is_object() || !baseline.contains("schema") ||
         !baseline.at("schema").is_string() ||
@@ -161,18 +149,6 @@ DiffResult diff_telemetry(const Json& baseline, const Json& current,
                 "\"); counter drift reported as warnings only");
         }
     }
-    for (const char* key : kInformationalIdentity) {
-        if (base_manifest.contains(key) && cur_manifest.contains(key) &&
-            value_str(base_manifest.at(key)) !=
-                value_str(cur_manifest.at(key))) {
-            result.warnings.push_back(
-                std::string("manifest.") + key + " changed (\"" +
-                value_str(base_manifest.at(key)) + "\" -> \"" +
-                value_str(cur_manifest.at(key)) +
-                "\"); flavors are bit-identical by contract, so counter "
-                "drift still fails");
-        }
-    }
     auto flag = [&](std::string message) {
         (soften ? result.warnings : result.failures)
             .push_back(std::move(message));
@@ -189,12 +165,12 @@ DiffResult diff_telemetry(const Json& baseline, const Json& current,
         const double base = base_value.as_double();
         const double cur = cur_counters.at(name).as_double();
         const double drift = rel_drift_pct(base, cur);
-        if (drift > tolerance_pct) {
+        if (drift > kDiffTolerancePct) {
             char buf[160];
             std::snprintf(buf, sizeof buf,
                           "counter %s drifted %.2f%% (baseline %.0f, "
                           "current %.0f, tolerance %.2f%%)",
-                          name.c_str(), drift, base, cur, tolerance_pct);
+                          name.c_str(), drift, base, cur, kDiffTolerancePct);
             flag(buf);
         }
     }
@@ -216,7 +192,7 @@ DiffResult diff_telemetry(const Json& baseline, const Json& current,
             const double base = base_value.as_double();
             const double cur = cur_gauges.at(name).as_double();
             const double drift = rel_drift_pct(base, cur);
-            if (drift > tolerance_pct) {
+            if (drift > kDiffTolerancePct) {
                 char buf[160];
                 std::snprintf(buf, sizeof buf,
                               "gauge %s drifted %.2f%% (baseline %g, "
@@ -227,17 +203,6 @@ DiffResult diff_telemetry(const Json& baseline, const Json& current,
         }
     }
     return result;
-}
-
-double diff_tolerance_from_env(double fallback) {
-    const char* env = std::getenv("PRESS_BENCH_DIFF_TOLERANCE_PCT");
-    if (env == nullptr || *env == '\0') return fallback;
-    char* end = nullptr;
-    const double value = std::strtod(env, &end);
-    if (end == env || *end != '\0' || !std::isfinite(value) ||
-        value < 0.0)
-        return fallback;
-    return value;
 }
 
 }  // namespace press::obs

@@ -8,8 +8,8 @@
 // before anyone reads a timing chart. make_baseline() distills a
 // telemetry document to its comparable core (manifest identity +
 // counters + gauges); diff_telemetry() compares a later run against it,
-// failing on counter drift beyond a tolerance and only *warning* on
-// gauge drift — gauges carry wall-clock noise by design.
+// failing on counter drift beyond a fixed 2% tolerance and only
+// *warning* on gauge drift — gauges carry wall-clock noise by design.
 //
 // Comparability is checked, not assumed: a baseline recorded at
 // different press_threads/seed/scenario fails outright (the comparison
@@ -19,8 +19,7 @@
 // downgrades counter failures to warnings — floating-point differences
 // across toolchains can legitimately steer a search down another
 // trajectory, and the gate must not punish a toolchain bump as a
-// regression. tools/bench_diff.cpp is the CI-facing CLI; the tolerance
-// knob is `--tolerance-pct` / PRESS_BENCH_DIFF_TOLERANCE_PCT
+// regression. tools/bench_diff.cpp is the CI-facing CLI
 // (docs/TELEMETRY.md).
 #pragma once
 
@@ -31,8 +30,8 @@
 
 namespace press::obs {
 
-/// Default counter-drift tolerance, percent.
-inline constexpr double kDefaultDiffTolerancePct = 2.0;
+/// Counter-drift tolerance, percent.
+inline constexpr double kDiffTolerancePct = 2.0;
 
 /// Distills a `press.telemetry/v2` document into the committed
 /// `press.bench_baseline/v1` form: manifest identity fields plus every
@@ -49,15 +48,9 @@ struct DiffResult {
 };
 
 /// Compares `current` (a full telemetry document) against `baseline` (a
-/// make_baseline() document). Counter drift beyond `tolerance_pct` is a
-/// failure (a warning when the toolchain differs, see file comment);
+/// make_baseline() document). Counter drift beyond kDiffTolerancePct is
+/// a failure (a warning when the toolchain differs, see file comment);
 /// gauge drift is always a warning.
-DiffResult diff_telemetry(const Json& baseline, const Json& current,
-                          double tolerance_pct = kDefaultDiffTolerancePct);
-
-/// The tolerance override from PRESS_BENCH_DIFF_TOLERANCE_PCT, else
-/// `fallback`. Unparsable or negative values fall back too.
-double diff_tolerance_from_env(
-    double fallback = kDefaultDiffTolerancePct);
+DiffResult diff_telemetry(const Json& baseline, const Json& current);
 
 }  // namespace press::obs

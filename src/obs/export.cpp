@@ -21,7 +21,6 @@ Json manifest_json(const RunManifest& m) {
     obj.emplace("cxx_flags", m.cxx_flags);
     obj.emplace("sanitize", m.sanitize);
     obj.emplace("press_threads", m.press_threads);
-    obj.emplace("kernel_dispatch", m.kernel_dispatch);
     obj.emplace("seed", m.seed);
     obj.emplace("scenario", m.scenario);
     return Json(std::move(obj));
@@ -263,7 +262,6 @@ std::string validate_telemetry(const Json& t) {
         {"git_describe", true}, {"build_type", true},
         {"compiler", true},     {"cxx_flags", true},
         {"sanitize", true},     {"press_threads", false},
-        {"kernel_dispatch", true},
         {"seed", false},        {"scenario", true}};
     for (const auto& [key, is_string] : kManifestKeys) {
         if (!manifest.contains(key))

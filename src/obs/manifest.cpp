@@ -1,7 +1,6 @@
 #include "obs/manifest.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <thread>
 
@@ -18,15 +17,6 @@ std::size_t env_threads() {
     return static_cast<std::size_t>(std::min(parsed, 64L));
 }
 
-std::string env_kernel_dispatch() {
-    const char* env = std::getenv("PRESS_KERNEL");
-    if (env == nullptr) return "native";
-    std::string value(env);
-    std::transform(value.begin(), value.end(), value.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    return value == "scalar" ? "scalar" : "native";
-}
-
 RunManifest RunManifest::capture(std::string scenario, std::uint64_t seed) {
     RunManifest m;
     m.git_describe = kBuildGitDescribe;
@@ -41,7 +31,6 @@ RunManifest RunManifest::capture(std::string scenario, std::uint64_t seed) {
         const unsigned hw = std::thread::hardware_concurrency();
         m.press_threads = hw == 0 ? 1 : static_cast<std::size_t>(hw);
     }
-    m.kernel_dispatch = env_kernel_dispatch();
     m.seed = seed;
     m.scenario = std::move(scenario);
     return m;

@@ -25,12 +25,6 @@ namespace press::obs {
 /// control::BatchEvaluator::resolve_threads delegates here.
 std::size_t env_threads();
 
-/// PRESS_KERNEL from the environment, normalized to "scalar" or "native"
-/// ("native" when unset or unrecognized; case-insensitive). The single
-/// source of the env policy — util::kernels::active() delegates here so
-/// the manifest and the kernel dispatcher can never disagree.
-std::string env_kernel_dispatch();
-
 struct RunManifest {
     std::string schema = "press.telemetry/v2";
     std::string git_describe;   ///< `git describe --always --dirty` at configure
@@ -39,10 +33,6 @@ struct RunManifest {
     std::string cxx_flags;      ///< global CXX flags
     std::string sanitize;       ///< PRESS_SANITIZE flavor (OFF/asan/tsan)
     std::size_t press_threads = 1;  ///< resolved worker thread count
-    /// Resolved kernel flavor ("scalar" or "native", PRESS_KERNEL env).
-    /// Informational in bench diffs: the two flavors are bit-identical by
-    /// contract, so a mismatch never softens counter failures.
-    std::string kernel_dispatch = "native";
     std::uint64_t seed = 0;         ///< the run's top-level seed
     std::string scenario;           ///< scenario / bench id
 

@@ -30,15 +30,15 @@ const std::vector<Mcs>& mcs_table();
 /// Capacity-equivalent effective SNR of a frequency-selective channel:
 /// eff = 2^(mean_k log2(1 + snr_k)) - 1, in dB. This penalizes nulls the
 /// way a real decoder does (hard subcarriers dominate coded performance).
-/// Computed through util::kernels::effective_snr_db (the dispatched
-/// blocked-reduction kernel, bit-identical across PRESS_KERNEL flavors);
-/// the capacity fold's association differs from the serial reference
-/// below by ulps at most, never by an MCS decision at realistic widths.
+/// Computed through util::kernels::effective_snr_db (the blocked-reduction
+/// kernel, bit-identical at any SIMD width); the capacity fold's
+/// association differs from the serial reference below by ulps at most,
+/// never by an MCS decision at realistic widths.
 double effective_snr_db(const std::vector<double>& per_subcarrier_snr_db);
 
-/// The original serial capacity fold, kept as the bitwise reference the
-/// kernel flavors are tested against (tests/test_wideband.cpp): plain
-/// left-to-right accumulation, no blocking.
+/// The original serial capacity fold, kept as the reference the blocked
+/// kernel is tested against (tests/test_wideband.cpp): plain left-to-right
+/// accumulation, no blocking.
 double effective_snr_db_reference(
     const std::vector<double>& per_subcarrier_snr_db);
 

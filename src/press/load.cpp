@@ -43,7 +43,9 @@ Load Load::absorptive(double leakage) {
     Load l;
     l.reflection = {leakage, 0.0};
     l.extra_delay_s = 0.0;
-    l.label = "T";
+    // Built as a string first: GCC 12 flags the inlined char-array
+    // assignment with a false -Wrestrict.
+    l.label = std::string("T");
     return l;
 }
 

@@ -1,11 +1,9 @@
 #include "util/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
-#include "obs/manifest.hpp"
 #include "util/contracts.hpp"
 #include "util/units.hpp"
 
@@ -13,10 +11,8 @@ namespace press::util::kernels {
 
 namespace {
 
-// Per-element value helpers shared by both flavors: element-wise math has
-// no association order, so sharing it cannot break bit-identity (the
-// flavors differ only in loop structure), and it keeps the clamping
-// semantics in exactly one place.
+// Per-element value helpers: they keep the clamping semantics in exactly
+// one place.
 
 /// One subcarrier of phy::ChannelEstimate::snr_db.
 inline double snr_db_value(double re, double im, double var, double cap_db,
@@ -29,7 +25,7 @@ inline double snr_db_value(double re, double im, double var, double cap_db,
 inline double abs2_value(double re, double im) { return re * re + im * im; }
 
 /// Blocked-reduction lane state (kLanes accumulators, see kernels.hpp).
-/// combine_* folds (l0 op l1) op (l2 op l3) — both flavors, always.
+/// combine_* folds (l0 op l1) op (l2 op l3), always.
 inline double combine_sum(const double l[kLanes]) {
     return (l[0] + l[1]) + (l[2] + l[3]);
 }
@@ -37,120 +33,9 @@ inline double combine_min(const double l[kLanes]) {
     return std::min(std::min(l[0], l[1]), std::min(l[2], l[3]));
 }
 
-// ---------------------------------------------------------------------
-// Scalar flavor: rolling loops, lane index i & 3. The reference.
-// ---------------------------------------------------------------------
-namespace scalar {
-
-void copy(const double* sr, const double* si, double* dr, double* di,
-          std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-        dr[k] = sr[k];
-        di[k] = si[k];
-    }
-}
-
-void accumulate(const double* rr, const double* ri, double* dr, double* di,
-                std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-        dr[k] += rr[k];
-        di[k] += ri[k];
-    }
-}
-
-void copy_accumulate(const double* sr, const double* si, const double* rr,
-                     const double* ri, double* dr, double* di,
-                     std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-        dr[k] = sr[k] + rr[k];
-        di[k] = si[k] + ri[k];
-    }
-}
-
-template <typename Value>
-double reduce_sum(std::size_t n, Value value) {
-    double lanes[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    for (std::size_t i = 0; i < n; ++i) lanes[i & 3] += value(i);
-    return combine_sum(lanes);
-}
-
-template <typename Value>
-double reduce_min(std::size_t n, Value value) {
-    double lanes[kLanes];
-    std::fill_n(lanes, kLanes, std::numeric_limits<double>::infinity());
-    for (std::size_t i = 0; i < n; ++i)
-        lanes[i & 3] = std::min(lanes[i & 3], value(i));
-    return combine_min(lanes);
-}
-
-void ltf_mean_var(const double* raw_re, const double* raw_im,
-                  std::size_t repeats, std::size_t n, double* mean_re,
-                  double* mean_im, double* noise_var) {
-    const double count = static_cast<double>(repeats);
-    for (std::size_t k = 0; k < n; ++k) {
-        mean_re[k] = 0.0;
-        mean_im[k] = 0.0;
-        noise_var[k] = 0.0;
-    }
-    for (std::size_t r = 0; r < repeats; ++r) {
-        const double* rr = raw_re + r * n;
-        const double* ri = raw_im + r * n;
-        for (std::size_t k = 0; k < n; ++k) {
-            mean_re[k] += rr[k] / count;
-            mean_im[k] += ri[k] / count;
-        }
-    }
-    for (std::size_t r = 0; r < repeats; ++r) {
-        const double* rr = raw_re + r * n;
-        const double* ri = raw_im + r * n;
-        for (std::size_t k = 0; k < n; ++k) {
-            const double dre = rr[k] - mean_re[k];
-            const double dim = ri[k] - mean_im[k];
-            noise_var[k] += (dre * dre + dim * dim) / (count - 1.0);
-        }
-    }
-}
-
-}  // namespace scalar
-
-// ---------------------------------------------------------------------
-// Native flavor: the same arithmetic over __restrict__ spans in blocks
-// of kLanes so the auto-vectorizer maps lanes onto SIMD registers. The
-// block tail feeds lane (i & 3) — the association the scalar flavor's
-// rolling lane index produces — so the two flavors combine identically.
-// ---------------------------------------------------------------------
-namespace native {
-
-void copy(const double* __restrict__ sr, const double* __restrict__ si,
-          double* __restrict__ dr, double* __restrict__ di, std::size_t n) {
-#pragma GCC ivdep
-    for (std::size_t k = 0; k < n; ++k) {
-        dr[k] = sr[k];
-        di[k] = si[k];
-    }
-}
-
-void copy_accumulate(const double* __restrict__ sr,
-                     const double* __restrict__ si,
-                     const double* __restrict__ rr,
-                     const double* __restrict__ ri, double* __restrict__ dr,
-                     double* __restrict__ di, std::size_t n) {
-#pragma GCC ivdep
-    for (std::size_t k = 0; k < n; ++k) {
-        dr[k] = sr[k] + rr[k];
-        di[k] = si[k] + ri[k];
-    }
-}
-
-void accumulate(const double* __restrict__ rr,
-                const double* __restrict__ ri, double* __restrict__ dr,
-                double* __restrict__ di, std::size_t n) {
-#pragma GCC ivdep
-    for (std::size_t k = 0; k < n; ++k) {
-        dr[k] += rr[k];
-        di[k] += ri[k];
-    }
-}
+// Blocked reductions in steps of kLanes, so the auto-vectorizer maps the
+// lanes onto SIMD registers. The block tail feeds lane (i & 3): element
+// i always lands in lane i mod 4, whatever the vector width.
 
 template <typename Value>
 double reduce_sum(std::size_t n, Value value) {
@@ -187,11 +72,104 @@ double reduce_min(std::size_t n, Value value) {
     return combine_min(lanes);
 }
 
-void ltf_mean_var(const double* __restrict__ raw_re,
+}  // namespace
+
+void copy(Dispatch, const double* __restrict__ src_re,
+          const double* __restrict__ src_im, double* __restrict__ dst_re,
+          double* __restrict__ dst_im, std::size_t n) {
+#pragma GCC ivdep
+    for (std::size_t k = 0; k < n; ++k) {
+        dst_re[k] = src_re[k];
+        dst_im[k] = src_im[k];
+    }
+}
+
+void accumulate(Dispatch, const double* __restrict__ row_re,
+                const double* __restrict__ row_im,
+                double* __restrict__ dst_re, double* __restrict__ dst_im,
+                std::size_t n) {
+#pragma GCC ivdep
+    for (std::size_t k = 0; k < n; ++k) {
+        dst_re[k] += row_re[k];
+        dst_im[k] += row_im[k];
+    }
+}
+
+void copy_accumulate(Dispatch, const double* __restrict__ src_re,
+                     const double* __restrict__ src_im,
+                     const double* __restrict__ row_re,
+                     const double* __restrict__ row_im,
+                     double* __restrict__ dst_re,
+                     double* __restrict__ dst_im, std::size_t n) {
+#pragma GCC ivdep
+    for (std::size_t k = 0; k < n; ++k) {
+        dst_re[k] = src_re[k] + row_re[k];
+        dst_im[k] = src_im[k] + row_im[k];
+    }
+}
+
+void gather_accumulate(Dispatch d, const double* table_re,
+                       const double* table_im, const std::size_t* rows,
+                       std::size_t num_rows, double* dst_re, double* dst_im,
+                       std::size_t n) {
+    for (std::size_t r = 0; r < num_rows; ++r)
+        accumulate(d, table_re + rows[r] * n, table_im + rows[r] * n,
+                   dst_re, dst_im, n);
+}
+
+void interleave(const double* re, const double* im,
+                std::complex<double>* out, std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k)
+        out[k] = std::complex<double>{re[k], im[k]};
+}
+
+void deinterleave(const std::complex<double>* in, double* re, double* im,
+                  std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) {
+        re[k] = in[k].real();
+        im[k] = in[k].imag();
+    }
+}
+
+double min(Dispatch, const double* x, std::size_t n) {
+    PRESS_EXPECTS(n > 0, "min of an empty span");
+    const auto value = [x](std::size_t i) { return x[i]; };
+    return reduce_min(n, value);
+}
+
+double mean(Dispatch, const double* x, std::size_t n) {
+    PRESS_EXPECTS(n > 0, "mean of an empty span");
+    const auto value = [x](std::size_t i) { return x[i]; };
+    const double sum = reduce_sum(n, value);
+    return sum / static_cast<double>(n);
+}
+
+double abs2_min(Dispatch, const double* re, const double* im,
+                std::size_t n) {
+    PRESS_EXPECTS(n > 0, "min of an empty span");
+    const auto value = [re, im](std::size_t i) {
+        return abs2_value(re[i], im[i]);
+    };
+    return reduce_min(n, value);
+}
+
+double abs2_mean(Dispatch, const double* re, const double* im,
+                 std::size_t n) {
+    PRESS_EXPECTS(n > 0, "mean of an empty span");
+    const auto value = [re, im](std::size_t i) {
+        return abs2_value(re[i], im[i]);
+    };
+    const double sum = reduce_sum(n, value);
+    return sum / static_cast<double>(n);
+}
+
+void ltf_mean_var(Dispatch, const double* __restrict__ raw_re,
                   const double* __restrict__ raw_im, std::size_t repeats,
                   std::size_t n, double* __restrict__ mean_re,
                   double* __restrict__ mean_im,
                   double* __restrict__ noise_var) {
+    PRESS_EXPECTS(repeats >= 2,
+                  "noise estimation needs at least two repetitions");
     const double count = static_cast<double>(repeats);
 #pragma GCC ivdep
     for (std::size_t k = 0; k < n; ++k) {
@@ -220,144 +198,16 @@ void ltf_mean_var(const double* __restrict__ raw_re,
     }
 }
 
-}  // namespace native
-
-std::atomic<Dispatch>& active_slot() {
-    // Resolved once from the environment on first use; set_dispatch()
-    // overrides it afterwards (tests, in-process A/B comparisons).
-    static std::atomic<Dispatch> slot{obs::env_kernel_dispatch() == "scalar"
-                                          ? Dispatch::kScalar
-                                          : Dispatch::kNative};
-    return slot;
-}
-
-}  // namespace
-
-Dispatch active() {
-    return active_slot().load(std::memory_order_relaxed);
-}
-
-void set_dispatch(Dispatch d) {
-    active_slot().store(d, std::memory_order_relaxed);
-}
-
-const char* dispatch_name(Dispatch d) {
-    return d == Dispatch::kScalar ? "scalar" : "native";
-}
-
-void copy(Dispatch d, const double* src_re, const double* src_im,
-          double* dst_re, double* dst_im, std::size_t n) {
-    if (d == Dispatch::kScalar)
-        scalar::copy(src_re, src_im, dst_re, dst_im, n);
-    else
-        native::copy(src_re, src_im, dst_re, dst_im, n);
-}
-
-void accumulate(Dispatch d, const double* row_re, const double* row_im,
-                double* dst_re, double* dst_im, std::size_t n) {
-    if (d == Dispatch::kScalar)
-        scalar::accumulate(row_re, row_im, dst_re, dst_im, n);
-    else
-        native::accumulate(row_re, row_im, dst_re, dst_im, n);
-}
-
-void copy_accumulate(Dispatch d, const double* src_re, const double* src_im,
-                     const double* row_re, const double* row_im,
-                     double* dst_re, double* dst_im, std::size_t n) {
-    if (d == Dispatch::kScalar)
-        scalar::copy_accumulate(src_re, src_im, row_re, row_im, dst_re,
-                                dst_im, n);
-    else
-        native::copy_accumulate(src_re, src_im, row_re, row_im, dst_re,
-                                dst_im, n);
-}
-
-void gather_accumulate(Dispatch d, const double* table_re,
-                       const double* table_im, const std::size_t* rows,
-                       std::size_t num_rows, double* dst_re, double* dst_im,
-                       std::size_t n) {
-    for (std::size_t r = 0; r < num_rows; ++r)
-        accumulate(d, table_re + rows[r] * n, table_im + rows[r] * n,
-                   dst_re, dst_im, n);
-}
-
-void interleave(const double* re, const double* im,
-                std::complex<double>* out, std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k)
-        out[k] = std::complex<double>{re[k], im[k]};
-}
-
-void deinterleave(const std::complex<double>* in, double* re, double* im,
-                  std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-        re[k] = in[k].real();
-        im[k] = in[k].imag();
-    }
-}
-
-double min(Dispatch d, const double* x, std::size_t n) {
-    PRESS_EXPECTS(n > 0, "min of an empty span");
-    const auto value = [x](std::size_t i) { return x[i]; };
-    return d == Dispatch::kScalar ? scalar::reduce_min(n, value)
-                                  : native::reduce_min(n, value);
-}
-
-double mean(Dispatch d, const double* x, std::size_t n) {
-    PRESS_EXPECTS(n > 0, "mean of an empty span");
-    const auto value = [x](std::size_t i) { return x[i]; };
-    const double sum = d == Dispatch::kScalar
-                           ? scalar::reduce_sum(n, value)
-                           : native::reduce_sum(n, value);
-    return sum / static_cast<double>(n);
-}
-
-double abs2_min(Dispatch d, const double* re, const double* im,
-                std::size_t n) {
-    PRESS_EXPECTS(n > 0, "min of an empty span");
-    const auto value = [re, im](std::size_t i) {
-        return abs2_value(re[i], im[i]);
-    };
-    return d == Dispatch::kScalar ? scalar::reduce_min(n, value)
-                                  : native::reduce_min(n, value);
-}
-
-double abs2_mean(Dispatch d, const double* re, const double* im,
-                 std::size_t n) {
-    PRESS_EXPECTS(n > 0, "mean of an empty span");
-    const auto value = [re, im](std::size_t i) {
-        return abs2_value(re[i], im[i]);
-    };
-    const double sum = d == Dispatch::kScalar
-                           ? scalar::reduce_sum(n, value)
-                           : native::reduce_sum(n, value);
-    return sum / static_cast<double>(n);
-}
-
-void ltf_mean_var(Dispatch d, const double* raw_re, const double* raw_im,
-                  std::size_t repeats, std::size_t n, double* mean_re,
-                  double* mean_im, double* noise_var) {
-    PRESS_EXPECTS(repeats >= 2,
-                  "noise estimation needs at least two repetitions");
-    if (d == Dispatch::kScalar)
-        scalar::ltf_mean_var(raw_re, raw_im, repeats, n, mean_re, mean_im,
-                             noise_var);
-    else
-        native::ltf_mean_var(raw_re, raw_im, repeats, n, mean_re, mean_im,
-                             noise_var);
-}
-
-void snr_db_into(Dispatch d, const double* mean_re, const double* mean_im,
+void snr_db_into(Dispatch, const double* mean_re, const double* mean_im,
                  const double* noise_var, std::size_t n, double cap_db,
                  double floor_db, double* out) {
     PRESS_EXPECTS(floor_db < cap_db, "floor must sit below the cap");
-    // Element-wise: the flavor distinction is vacuous, one loop serves.
-    (void)d;
     for (std::size_t k = 0; k < n; ++k)
         out[k] = snr_db_value(mean_re[k], mean_im[k], noise_var[k], cap_db,
                               floor_db);
 }
 
-double snr_db_min(Dispatch d, const double* mean_re, const double* mean_im,
+double snr_db_min(Dispatch, const double* mean_re, const double* mean_im,
                   const double* noise_var, std::size_t n, double cap_db,
                   double floor_db) {
     PRESS_EXPECTS(n > 0, "min of an empty span");
@@ -366,11 +216,10 @@ double snr_db_min(Dispatch d, const double* mean_re, const double* mean_im,
         return snr_db_value(mean_re[i], mean_im[i], noise_var[i], cap_db,
                             floor_db);
     };
-    return d == Dispatch::kScalar ? scalar::reduce_min(n, value)
-                                  : native::reduce_min(n, value);
+    return reduce_min(n, value);
 }
 
-double snr_db_mean(Dispatch d, const double* mean_re,
+double snr_db_mean(Dispatch, const double* mean_re,
                    const double* mean_im, const double* noise_var,
                    std::size_t n, double cap_db, double floor_db) {
     PRESS_EXPECTS(n > 0, "mean of an empty span");
@@ -379,17 +228,13 @@ double snr_db_mean(Dispatch d, const double* mean_re,
         return snr_db_value(mean_re[i], mean_im[i], noise_var[i], cap_db,
                             floor_db);
     };
-    const double sum = d == Dispatch::kScalar
-                           ? scalar::reduce_sum(n, value)
-                           : native::reduce_sum(n, value);
+    const double sum = reduce_sum(n, value);
     return sum / static_cast<double>(n);
 }
 
-void masked_gather(Dispatch d, const double* src_re, const double* src_im,
+void masked_gather(Dispatch, const double* src_re, const double* src_im,
                    const std::size_t* idx, std::size_t m, double* dst_re,
                    double* dst_im) {
-    // Element-wise compaction: the flavor distinction is vacuous.
-    (void)d;
     for (std::size_t i = 0; i < m; ++i) {
         dst_re[i] = src_re[idx[i]];
         dst_im[i] = src_im[idx[i]];
@@ -418,7 +263,7 @@ void masked_copy_accumulate(Dispatch d, const double* src_re,
     }
 }
 
-void masked_ltf_mean_var(Dispatch d, const double* raw_re,
+void masked_ltf_mean_var(Dispatch, const double* raw_re,
                          const double* raw_im, std::size_t repeats,
                          std::size_t row_stride, const std::size_t* idx,
                          std::size_t m, double* mean_re, double* mean_im,
@@ -426,9 +271,8 @@ void masked_ltf_mean_var(Dispatch d, const double* raw_re,
     PRESS_EXPECTS(repeats >= 2,
                   "noise estimation needs at least two repetitions");
     // Per-tone arithmetic is element-wise across the dense axis (no
-    // cross-tone reduction), so one indirected loop serves both flavors
-    // bit-identically — same structure as ltf_mean_var with k := idx[i].
-    (void)d;
+    // cross-tone reduction): the same structure as ltf_mean_var with
+    // k := idx[i].
     const double count = static_cast<double>(repeats);
     for (std::size_t i = 0; i < m; ++i) {
         mean_re[i] = 0.0;
@@ -454,7 +298,7 @@ void masked_ltf_mean_var(Dispatch d, const double* raw_re,
     }
 }
 
-double masked_snr_db_min(Dispatch d, const double* mean_re,
+double masked_snr_db_min(Dispatch, const double* mean_re,
                          const double* mean_im, const double* noise_var,
                          const std::size_t* idx, std::size_t m,
                          double cap_db, double floor_db) {
@@ -465,11 +309,10 @@ double masked_snr_db_min(Dispatch d, const double* mean_re,
         return snr_db_value(mean_re[k], mean_im[k], noise_var[k], cap_db,
                             floor_db);
     };
-    return d == Dispatch::kScalar ? scalar::reduce_min(m, value)
-                                  : native::reduce_min(m, value);
+    return reduce_min(m, value);
 }
 
-double masked_snr_db_mean(Dispatch d, const double* mean_re,
+double masked_snr_db_mean(Dispatch, const double* mean_re,
                           const double* mean_im, const double* noise_var,
                           const std::size_t* idx, std::size_t m,
                           double cap_db, double floor_db) {
@@ -480,19 +323,16 @@ double masked_snr_db_mean(Dispatch d, const double* mean_re,
         return snr_db_value(mean_re[k], mean_im[k], noise_var[k], cap_db,
                             floor_db);
     };
-    const double sum = d == Dispatch::kScalar
-                           ? scalar::reduce_sum(m, value)
-                           : native::reduce_sum(m, value);
+    const double sum = reduce_sum(m, value);
     return sum / static_cast<double>(m);
 }
 
-double effective_snr_db(Dispatch d, const double* snr_db, std::size_t n) {
+double effective_snr_db(Dispatch, const double* snr_db, std::size_t n) {
     PRESS_EXPECTS(n > 0, "empty SNR profile");
     const auto value = [snr_db](std::size_t i) {
         return std::log2(1.0 + db_to_linear(snr_db[i]));
     };
-    const double acc = d == Dispatch::kScalar ? scalar::reduce_sum(n, value)
-                                              : native::reduce_sum(n, value);
+    const double acc = reduce_sum(n, value);
     const double mean_bits = acc / static_cast<double>(n);
     return linear_to_db(std::pow(2.0, mean_bits) - 1.0);
 }

@@ -8,32 +8,22 @@
 // (SplitVec: one contiguous double array per component) and runs these
 // kernels over raw spans.
 //
-// Two dispatch flavors exist, selected once per process from the
-// PRESS_KERNEL environment variable (obs::env_kernel_dispatch() owns the
-// parse so the run manifest and the dispatcher can never disagree):
-//
-//   - kScalar: plain rolling loops, no vectorization hints. The reference
-//     implementation.
-//   - kNative (default): the same arithmetic written over __restrict__
-//     spans in blocks the compiler's auto-vectorizer maps onto whatever
-//     SIMD width the target has.
-//
-// The two are required to be BIT-IDENTICAL, not merely close — the CI
-// matrix diffs full telemetry counter sets between PRESS_KERNEL=scalar
-// and =native runs at zero tolerance. That only holds if no kernel's
-// result depends on association order the two flavors could disagree on,
-// which pins down two contracts:
+// The arithmetic is written over __restrict__ spans in blocks the
+// compiler's auto-vectorizer maps onto whatever SIMD width the target
+// has. Results must not depend on that width (a default build and a
+// -march=native build give the same bits), which pins down two
+// contracts:
 //
 //   1. Deterministic blocked reduction. Every reduction (min / mean /
 //      abs2 sums) runs kLanes = 4 independent accumulators, lane j
 //      folding elements j, j+4, j+8, ... (the layout a 4-wide vector
 //      loop produces), combined at the end as
 //          (lane0 ⊕ lane1) ⊕ (lane2 ⊕ lane3)
-//      in both flavors. The width is fixed at 4 regardless of the
-//      hardware width so results never depend on the build machine.
+//      The width is fixed at 4 regardless of the hardware width so
+//      results never depend on the build machine.
 //   2. No FMA contraction. The build compiles with -ffp-contract=off
 //      (top-level CMakeLists) so re*re + im*im is the same mul/mul/add
-//      sequence in both flavors and under -march=native.
+//      sequence at every vector width and under -march=native.
 //
 // Element-wise kernels (copy / accumulate / gather) have no reduction
 // order at all, so they are bit-identical by construction.
@@ -45,16 +35,12 @@
 
 namespace press::util::kernels {
 
-/// Kernel flavor. kScalar is the reference; kNative the auto-vectorized
-/// path. Both produce bit-identical results (see file comment).
-enum class Dispatch { kScalar, kNative };
+/// The kernel flavor. One exists; every kernel keeps the parameter so
+/// call sites stay stable, and ignores it.
+enum class Dispatch { kNative };
 
-/// The process-wide flavor: resolved once from PRESS_KERNEL via
-/// obs::env_kernel_dispatch() ("scalar" selects kScalar, anything else —
-/// including unset — kNative), overridable afterwards for tests.
-Dispatch active();
-void set_dispatch(Dispatch d);
-const char* dispatch_name(Dispatch d);
+/// The flavor to pass: always Dispatch::kNative.
+constexpr Dispatch active() { return Dispatch::kNative; }
 
 /// Fixed lane count of the blocked-reduction contract.
 inline constexpr std::size_t kLanes = 4;
@@ -89,7 +75,7 @@ void accumulate(Dispatch d, const double* row_re, const double* row_im,
 /// dst = src + row (both components), n elements — the coordinate
 /// delta's fused form. One pass over dst instead of copy() followed by
 /// accumulate(); the per-element sum is the same single addition, so the
-/// result is bit-identical to the two-step form (and across flavors).
+/// result is bit-identical to the two-step form.
 /// dst must not alias src or row.
 void copy_accumulate(Dispatch d, const double* src_re, const double* src_im,
                      const double* row_re, const double* row_im,
@@ -159,9 +145,8 @@ double snr_db_mean(Dispatch d, const double* mean_re,
 // The reduction kernels run their kLanes-blocked reduction over the
 // DENSE masked axis i — not the raw subcarrier k — so a masked reduction
 // is bit-identical to gathering the masked tones densely first and
-// reducing with the unmasked kernel; the scalar and native flavors stay
-// bit-identical exactly as above. Index lists must be strictly ascending
-// (phy::RuMask::active_indices() order).
+// reducing with the unmasked kernel. Index lists must be strictly
+// ascending (phy::RuMask::active_indices() order).
 // ---------------------------------------------------------------------
 
 /// Half-open span [offset, offset + len) of the full subcarrier axis.
@@ -171,8 +156,7 @@ struct IndexRange {
 };
 
 /// Dense compaction: dst[i] = src[idx[i]] for i in [0, m), both
-/// components. Element-wise, so bit-identical across flavors by
-/// construction.
+/// components.
 void masked_gather(Dispatch d, const double* src_re, const double* src_im,
                    const std::size_t* idx, std::size_t m, double* dst_re,
                    double* dst_im);
@@ -221,10 +205,10 @@ double masked_snr_db_mean(Dispatch d, const double* mean_re,
 
 /// Capacity-equivalent effective SNR of a per-subcarrier SNR profile in
 /// dB: 2^(mean_k log2(1 + snr_k)) - 1 (phy::effective_snr_db's formula)
-/// with the capacity sum folded through the blocked reduction. Scalar
-/// and native flavors are bit-identical; versus the serial reference
-/// loop (phy::effective_snr_db_reference) the blocked association may
-/// differ in the last ulps, which the phy layer documents.
+/// with the capacity sum folded through the blocked reduction. Versus the
+/// serial reference loop (phy::effective_snr_db_reference) the blocked
+/// association may differ in the last ulps, which the phy layer
+/// documents.
 double effective_snr_db(Dispatch d, const double* snr_db, std::size_t n);
 
 }  // namespace press::util::kernels

@@ -255,23 +255,6 @@ TEST_F(ObsTest, ManifestIsDeterministicUnderFixedSeed) {
               build_telemetry(b, false).dump());
 }
 
-TEST_F(ObsTest, ManifestRecordsKernelDispatch) {
-    ::unsetenv("PRESS_KERNEL");
-    EXPECT_EQ(env_kernel_dispatch(), "native");
-    ::setenv("PRESS_KERNEL", "SCALAR", 1);
-    EXPECT_EQ(env_kernel_dispatch(), "scalar");
-    const RunManifest m = RunManifest::capture("unit-test", 1);
-    EXPECT_EQ(m.kernel_dispatch, "scalar");
-    const Json doc = build_telemetry(m);
-    EXPECT_EQ(validate_telemetry(doc), "");
-    EXPECT_EQ(doc.at("manifest").at("kernel_dispatch").as_string(),
-              "scalar");
-    // Anything that is not exactly "scalar" selects the native flavor.
-    ::setenv("PRESS_KERNEL", "avx-please", 1);
-    EXPECT_EQ(env_kernel_dispatch(), "native");
-    ::unsetenv("PRESS_KERNEL");
-}
-
 /// Deterministic score with real work, so multi-thread runs interleave.
 double score_config(const surface::Config& c, util::Rng& rng,
                     control::EvalScratch& /*scratch*/) {
@@ -552,15 +535,6 @@ TEST_F(ObsTest, BenchDiffComparesScenarioAsSceneTokenSet) {
         make_baseline(build_telemetry(RunManifest::capture("alpha", 11)));
     const Json solo_cur = build_telemetry(RunManifest::capture("beta", 11));
     EXPECT_FALSE(diff_telemetry(solo_base, solo_cur).comparable);
-}
-
-TEST_F(ObsTest, DiffToleranceEnvOverride) {
-    ::setenv("PRESS_BENCH_DIFF_TOLERANCE_PCT", "7.5", 1);
-    EXPECT_DOUBLE_EQ(diff_tolerance_from_env(), 7.5);
-    ::setenv("PRESS_BENCH_DIFF_TOLERANCE_PCT", "garbage", 1);
-    EXPECT_DOUBLE_EQ(diff_tolerance_from_env(), kDefaultDiffTolerancePct);
-    ::unsetenv("PRESS_BENCH_DIFF_TOLERANCE_PCT");
-    EXPECT_DOUBLE_EQ(diff_tolerance_from_env(), kDefaultDiffTolerancePct);
 }
 
 // ---- timeseries store and SLO tracker ----------------------------------

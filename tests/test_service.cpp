@@ -211,7 +211,8 @@ const Reject* find_reject(const std::vector<Decoded>& replies,
 
 TEST(Service, ServesAndRepliesWithTimingSplit) {
     auto counters = std::make_shared<StubCounters>();
-    Service service(stub_engine(counters));
+    const ServiceOptions options;
+    Service service(stub_engine(counters), options);
     TestClient client(service);
 
     const std::uint32_t hello_seq = client.send(Message{Hello{}});
@@ -324,7 +325,8 @@ TEST(Service, ShedsLowPriorityAboveOccupancyWatermark) {
 
 TEST(Service, DeadlineExpiresMidQueue) {
     auto counters = std::make_shared<StubCounters>();
-    Service service(stub_engine(counters, /*sim_cost_s=*/0.01));
+    const ServiceOptions options;
+    Service service(stub_engine(counters, /*sim_cost_s=*/0.01), options);
     TestClient client(service);
 
     // Low priority, generous deadline; high priority, tight deadline.
@@ -358,7 +360,6 @@ TEST(Service, SlowReaderGetsBackpressureThenDropped) {
     ServiceOptions options;
     options.queue_capacity = 64;
     options.outbox_capacity = 8;  // watermark = 6
-    Service service(stub_engine(counters));
     Service slow_service(stub_engine(counters), options);
     TestClient client(slow_service);
 
@@ -378,7 +379,8 @@ TEST(Service, SlowReaderGetsBackpressureThenDropped) {
 
 TEST(Service, DuplicateSequenceIsRejected) {
     auto counters = std::make_shared<StubCounters>();
-    Service service(stub_engine(counters));
+    const ServiceOptions options;
+    Service service(stub_engine(counters), options);
     TestClient client(service);
 
     OptimizeRequest req;
@@ -496,7 +498,8 @@ TEST(Service, ExpirySurvivesFullOutboxSessionClose) {
 
 TEST(Service, SessionIdsSkipLiveSessionsOnWrap) {
     auto counters = std::make_shared<StubCounters>();
-    Service service(stub_engine(counters));
+    const ServiceOptions options;
+    Service service(stub_engine(counters), options);
     const auto held = service.connect();
     // Walk next_session_ through the full u16 space and past the wrap:
     // every id handed out must be fresh — never 0, never the held one.
@@ -536,7 +539,8 @@ TEST(Service, PriorityCapFromHelloClampsRequests) {
 
 TEST(Service, DisconnectAccountsQueuedRequests) {
     auto counters = std::make_shared<StubCounters>();
-    Service service(stub_engine(counters));
+    const ServiceOptions options;
+    Service service(stub_engine(counters), options);
     TestClient client(service);
     client.send_optimize(128);
     client.send_optimize(128);
@@ -602,7 +606,8 @@ TEST(Service, EpochIsolatesMutationsFromOptimizeCycles) {
     ServiceEngine engine =
         core::make_service_engine(scenario.system, serve_config);
     const auto revision_probe = engine.scene_revision;
-    Service service(std::move(engine));
+    const ServiceOptions options;
+    Service service(std::move(engine), options);
     TestClient client(service);
 
     const std::uint64_t epoch0 = service.epoch();
@@ -653,7 +658,8 @@ TEST(Service, EpochIsolatesMutationsFromOptimizeCycles) {
 
 TEST(Service, BadRequestsAreRejectedByValidation) {
     auto scenario = core::make_link_scenario(12, /*line_of_sight=*/false);
-    Service service(core::make_service_engine(scenario.system));
+    const ServiceOptions options;
+    Service service(core::make_service_engine(scenario.system), options);
     TestClient client(service);
 
     OptimizeRequest bad;
@@ -804,8 +810,8 @@ TEST(Service, UnsubscribeSendsFinalFrameAndStopsStream) {
     Subscribe cancel;
     cancel.interval_us = 0;
     client.send(Message{cancel});
-    auto frames = telemetry_frames(client.read());
-    ASSERT_EQ(frames.size(), 1u);  // the final frame
+    const auto last = client.read();
+    ASSERT_EQ(telemetry_frames(last).size(), 1u);  // the final frame
 
     for (int i = 0; i < 3; ++i) {
         service.advance_clock(0.5);
@@ -857,7 +863,8 @@ TEST(Service, SlowSubscriberDropsOldestTelemetryNotReplies) {
 
     // Once the watcher finally drains, the newest frames are intact and
     // strictly ordered by revision.
-    const auto frames = telemetry_frames(watcher.read());
+    const auto drained = watcher.read();
+    const auto frames = telemetry_frames(drained);
     ASSERT_GT(frames.size(), 0u);
     std::uint64_t last_revision = 0;
     for (const auto* tf : frames) {
@@ -928,9 +935,9 @@ TEST(Service, StatusReportsUptimeAndAdvancingRevision) {
     service.advance_clock(2.0);
     (void)service.run_cycle();  // one sampler window closes
     client.send(Message{StatusRequest{}});
-    auto replies = client.read();
-    ASSERT_EQ(replies.size(), 1u);
-    const auto* status = std::get_if<StatusReply>(&replies[0].message);
+    const auto first = client.read();
+    ASSERT_EQ(first.size(), 1u);
+    const auto* status = std::get_if<StatusReply>(&first[0].message);
     ASSERT_NE(status, nullptr);
     EXPECT_NEAR(status->uptime_s, 2.0, 1e-3);
     EXPECT_GE(status->revision, 1u);
@@ -940,9 +947,9 @@ TEST(Service, StatusReportsUptimeAndAdvancingRevision) {
     service.advance_clock(1.0);
     (void)service.run_cycle();
     client.send(Message{StatusRequest{}});
-    replies = client.read();
-    ASSERT_EQ(replies.size(), 1u);
-    const auto* later = std::get_if<StatusReply>(&replies[0].message);
+    const auto second = client.read();
+    ASSERT_EQ(second.size(), 1u);
+    const auto* later = std::get_if<StatusReply>(&second[0].message);
     ASSERT_NE(later, nullptr);
     EXPECT_GT(later->revision, status->revision);
     EXPECT_GT(later->uptime_s, status->uptime_s);

@@ -3,8 +3,8 @@
 // and fused-delta kernels' bit-identity contracts, the tile-bounded
 // LinkCache/MultiLinkCache reads agreeing with the full-width calls on
 // every covered double, the masked optimize_fast path's bit-identical
-// results across thread counts, delta modes and kernel flavors, and the
-// FFT plan cache reproducing the legacy fft()/ifft() bits.
+// results across thread counts, and the FFT plan cache reproducing the
+// legacy fft()/ifft() bits.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -36,7 +36,6 @@ using control::ControlPlaneModel;
 using control::GreedyCoordinateDescent;
 using control::MaskedSnrObjective;
 using control::SearchResult;
-using kernels::Dispatch;
 using kernels::IndexRange;
 
 std::vector<IndexRange> to_index_ranges(const std::vector<phy::RuRange>& spans) {
@@ -184,7 +183,9 @@ TEST(RuMask, TileSpansWidenAndSkipOnlyWholeTiles) {
 
 // ------------------------------------------------------ masked kernels
 
-TEST(MaskedKernels, BitIdenticalFlavorsAndDenseEquivalence) {
+constexpr kernels::Dispatch kD = kernels::active();
+
+TEST(MaskedKernels, DenseEquivalence) {
     const phy::RuMask mask = phy::RuMask::uniform(996, 8).punctured({2, 5});
     const std::vector<IndexRange> ranges =
         to_index_ranges(mask.active_ranges());
@@ -199,43 +200,29 @@ TEST(MaskedKernels, BitIdenticalFlavorsAndDenseEquivalence) {
         nv[k] = rng.uniform(1e-6, 1e-2);
     }
 
-    // masked_gather: dense compaction, flavors identical, equals a
-    // hand-rolled gather.
-    std::vector<double> gs_re(m), gs_im(m), gn_re(m), gn_im(m);
-    kernels::masked_gather(Dispatch::kScalar, re.data(), im.data(),
-                           idx.data(), m, gs_re.data(), gs_im.data());
-    kernels::masked_gather(Dispatch::kNative, re.data(), im.data(),
-                           idx.data(), m, gn_re.data(), gn_im.data());
-    EXPECT_EQ(gs_re, gn_re);
-    EXPECT_EQ(gs_im, gn_im);
+    // masked_gather: dense compaction, equals a hand-rolled gather.
+    std::vector<double> gs_re(m), gs_im(m);
+    kernels::masked_gather(kD, re.data(), im.data(), idx.data(), m,
+                           gs_re.data(), gs_im.data());
     for (std::size_t i = 0; i < m; ++i) EXPECT_EQ(gs_re[i], re[idx[i]]);
 
-    // Masked reductions == dense gather + unmasked reduction, and the
-    // flavors agree bitwise (the blocked reduction runs over the dense
-    // masked axis).
+    // Masked reductions == dense gather + unmasked reduction (the blocked
+    // reduction runs over the dense masked axis).
     std::vector<double> gnv(m);
     for (std::size_t i = 0; i < m; ++i) gnv[i] = nv[idx[i]];
-    for (const Dispatch d : {Dispatch::kScalar, Dispatch::kNative}) {
-        EXPECT_EQ(kernels::masked_snr_db_min(d, re.data(), im.data(),
-                                             nv.data(), idx.data(), m, 50.0,
-                                             -30.0),
-                  kernels::snr_db_min(d, gs_re.data(), gs_im.data(),
-                                      gnv.data(), m, 50.0, -30.0));
-        EXPECT_EQ(kernels::masked_snr_db_mean(d, re.data(), im.data(),
-                                              nv.data(), idx.data(), m,
-                                              50.0, -30.0),
-                  kernels::snr_db_mean(d, gs_re.data(), gs_im.data(),
-                                       gnv.data(), m, 50.0, -30.0));
-    }
-    EXPECT_EQ(kernels::masked_snr_db_min(Dispatch::kScalar, re.data(),
-                                         im.data(), nv.data(), idx.data(),
-                                         m, 50.0, -30.0),
-              kernels::masked_snr_db_min(Dispatch::kNative, re.data(),
-                                         im.data(), nv.data(), idx.data(),
-                                         m, 50.0, -30.0));
+    EXPECT_EQ(kernels::masked_snr_db_min(kD, re.data(), im.data(),
+                                         nv.data(), idx.data(), m, 50.0,
+                                         -30.0),
+              kernels::snr_db_min(kD, gs_re.data(), gs_im.data(),
+                                  gnv.data(), m, 50.0, -30.0));
+    EXPECT_EQ(kernels::masked_snr_db_mean(kD, re.data(), im.data(),
+                                          nv.data(), idx.data(), m, 50.0,
+                                          -30.0),
+              kernels::snr_db_mean(kD, gs_re.data(), gs_im.data(),
+                                   gnv.data(), m, 50.0, -30.0));
 
     // masked_ltf_mean_var == full-width ltf_mean_var + gather of the
-    // outputs, both flavors.
+    // outputs.
     const std::size_t repeats = 4;
     std::vector<double> raw_re(repeats * n), raw_im(repeats * n);
     for (std::size_t k = 0; k < raw_re.size(); ++k) {
@@ -243,19 +230,16 @@ TEST(MaskedKernels, BitIdenticalFlavorsAndDenseEquivalence) {
         raw_im[k] = rng.uniform(-1.0, 1.0);
     }
     std::vector<double> fm_re(n), fm_im(n), fvar(n);
-    kernels::ltf_mean_var(Dispatch::kScalar, raw_re.data(), raw_im.data(),
-                          repeats, n, fm_re.data(), fm_im.data(),
-                          fvar.data());
-    for (const Dispatch d : {Dispatch::kScalar, Dispatch::kNative}) {
-        std::vector<double> mm_re(m), mm_im(m), mvar(m);
-        kernels::masked_ltf_mean_var(d, raw_re.data(), raw_im.data(),
-                                     repeats, n, idx.data(), m, mm_re.data(),
-                                     mm_im.data(), mvar.data());
-        for (std::size_t i = 0; i < m; ++i) {
-            EXPECT_EQ(mm_re[i], fm_re[idx[i]]);
-            EXPECT_EQ(mm_im[i], fm_im[idx[i]]);
-            EXPECT_EQ(mvar[i], fvar[idx[i]]);
-        }
+    kernels::ltf_mean_var(kD, raw_re.data(), raw_im.data(), repeats, n,
+                          fm_re.data(), fm_im.data(), fvar.data());
+    std::vector<double> mm_re(m), mm_im(m), mvar(m);
+    kernels::masked_ltf_mean_var(kD, raw_re.data(), raw_im.data(), repeats,
+                                 n, idx.data(), m, mm_re.data(),
+                                 mm_im.data(), mvar.data());
+    for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(mm_re[i], fm_re[idx[i]]);
+        EXPECT_EQ(mm_im[i], fm_im[idx[i]]);
+        EXPECT_EQ(mvar[i], fvar[idx[i]]);
     }
 
     // masked_accumulate touches exactly the ranges, bit-identical to a
@@ -265,22 +249,20 @@ TEST(MaskedKernels, BitIdenticalFlavorsAndDenseEquivalence) {
         row_re[k] = rng.uniform(-1.0, 1.0);
         row_im[k] = rng.uniform(-1.0, 1.0);
     }
-    for (const Dispatch d : {Dispatch::kScalar, Dispatch::kNative}) {
-        std::vector<double> full_re = re, full_im = im;
-        kernels::accumulate(d, row_re.data(), row_im.data(), full_re.data(),
-                            full_im.data(), n);
-        std::vector<double> msk_re = re, msk_im = im;
-        kernels::masked_accumulate(d, row_re.data(), row_im.data(),
-                                   msk_re.data(), msk_im.data(),
-                                   ranges.data(), ranges.size());
-        std::vector<bool> in_range(n, false);
-        for (const IndexRange& r : ranges)
-            for (std::size_t k = r.offset; k < r.offset + r.len; ++k)
-                in_range[k] = true;
-        for (std::size_t k = 0; k < n; ++k) {
-            EXPECT_EQ(msk_re[k], in_range[k] ? full_re[k] : re[k]);
-            EXPECT_EQ(msk_im[k], in_range[k] ? full_im[k] : im[k]);
-        }
+    std::vector<double> full_re = re, full_im = im;
+    kernels::accumulate(kD, row_re.data(), row_im.data(), full_re.data(),
+                        full_im.data(), n);
+    std::vector<double> msk_re = re, msk_im = im;
+    kernels::masked_accumulate(kD, row_re.data(), row_im.data(),
+                               msk_re.data(), msk_im.data(), ranges.data(),
+                               ranges.size());
+    std::vector<bool> in_range(n, false);
+    for (const IndexRange& r : ranges)
+        for (std::size_t k = r.offset; k < r.offset + r.len; ++k)
+            in_range[k] = true;
+    for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(msk_re[k], in_range[k] ? full_re[k] : re[k]);
+        EXPECT_EQ(msk_im[k], in_range[k] ? full_im[k] : im[k]);
     }
 }
 
@@ -299,47 +281,34 @@ TEST(MaskedKernels, FusedCopyAccumulateMatchesTwoStep) {
     const std::vector<IndexRange> spans =
         to_index_ranges(mask.tile_spans(core::LinkCache::kTileSubcarriers));
 
-    for (const Dispatch d : {Dispatch::kScalar, Dispatch::kNative}) {
-        // Full width: dst = src + row in one pass == copy then accumulate.
-        std::vector<double> two_re(n), two_im(n);
-        kernels::copy(d, src_re.data(), src_im.data(), two_re.data(),
-                      two_im.data(), n);
-        kernels::accumulate(d, row_re.data(), row_im.data(), two_re.data(),
-                            two_im.data(), n);
-        std::vector<double> fused_re(n), fused_im(n);
-        kernels::copy_accumulate(d, src_re.data(), src_im.data(),
-                                 row_re.data(), row_im.data(),
-                                 fused_re.data(), fused_im.data(), n);
-        EXPECT_EQ(fused_re, two_re);
-        EXPECT_EQ(fused_im, two_im);
+    // Full width: dst = src + row in one pass == copy then accumulate.
+    std::vector<double> two_re(n), two_im(n);
+    kernels::copy(kD, src_re.data(), src_im.data(), two_re.data(),
+                  two_im.data(), n);
+    kernels::accumulate(kD, row_re.data(), row_im.data(), two_re.data(),
+                        two_im.data(), n);
+    std::vector<double> fused_re(n), fused_im(n);
+    kernels::copy_accumulate(kD, src_re.data(), src_im.data(),
+                             row_re.data(), row_im.data(), fused_re.data(),
+                             fused_im.data(), n);
+    EXPECT_EQ(fused_re, two_re);
+    EXPECT_EQ(fused_im, two_im);
 
-        // Tile-bounded: covered doubles match the full fused pass,
-        // everything outside is left exactly as initialized.
-        std::vector<double> m_re(n, -9.0), m_im(n, -9.0);
-        kernels::masked_copy_accumulate(d, src_re.data(), src_im.data(),
-                                        row_re.data(), row_im.data(),
-                                        m_re.data(), m_im.data(),
-                                        spans.data(), spans.size());
-        std::vector<bool> in_span(n, false);
-        for (const IndexRange& r : spans)
-            for (std::size_t k = r.offset; k < r.offset + r.len; ++k)
-                in_span[k] = true;
-        for (std::size_t k = 0; k < n; ++k) {
-            EXPECT_EQ(m_re[k], in_span[k] ? fused_re[k] : -9.0);
-            EXPECT_EQ(m_im[k], in_span[k] ? fused_im[k] : -9.0);
-        }
+    // Tile-bounded: covered doubles match the full fused pass, everything
+    // outside is left exactly as initialized.
+    std::vector<double> m_re(n, -9.0), m_im(n, -9.0);
+    kernels::masked_copy_accumulate(kD, src_re.data(), src_im.data(),
+                                    row_re.data(), row_im.data(),
+                                    m_re.data(), m_im.data(), spans.data(),
+                                    spans.size());
+    std::vector<bool> in_span(n, false);
+    for (const IndexRange& r : spans)
+        for (std::size_t k = r.offset; k < r.offset + r.len; ++k)
+            in_span[k] = true;
+    for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(m_re[k], in_span[k] ? fused_re[k] : -9.0);
+        EXPECT_EQ(m_im[k], in_span[k] ? fused_im[k] : -9.0);
     }
-    // Flavors bit-identical (element-wise kernels, by construction —
-    // asserted anyway because the delta path's equality proof rests on it).
-    std::vector<double> s_re(n), s_im(n), v_re(n), v_im(n);
-    kernels::copy_accumulate(Dispatch::kScalar, src_re.data(), src_im.data(),
-                             row_re.data(), row_im.data(), s_re.data(),
-                             s_im.data(), n);
-    kernels::copy_accumulate(Dispatch::kNative, src_re.data(), src_im.data(),
-                             row_re.data(), row_im.data(), v_re.data(),
-                             v_im.data(), n);
-    EXPECT_EQ(s_re, v_re);
-    EXPECT_EQ(s_im, v_im);
 }
 
 // ------------------------------------------------- tile-bounded cache
@@ -461,12 +430,10 @@ TEST(WidebandCache, GroupResponseRangesMatchesFullOnSpans) {
 
 // The tentpole reproducibility property: a masked greedy search over the
 // 996-tone scene lands on the same configuration, bit for bit, for any
-// thread count and either kernel flavor — the fused base-plus-row delta
-// adds the swept row last on every covered tone.
-TEST(WidebandSearch, MaskedOptimizeBitIdenticalAcrossThreadsAndKernels) {
-    const auto run = [](std::size_t threads, Dispatch dispatch) {
-        const Dispatch before = kernels::active();
-        kernels::set_dispatch(dispatch);
+// thread count — the fused base-plus-row delta adds the swept row last on
+// every covered tone.
+TEST(WidebandSearch, MaskedOptimizeBitIdenticalAcrossThreads) {
+    const auto run = [](std::size_t threads) {
         core::WidebandScenario scenario = core::make_wideband_scenario(33);
         util::Rng rng(21);
         const auto outcome = scenario.system.optimize_fast(
@@ -475,20 +442,16 @@ TEST(WidebandSearch, MaskedOptimizeBitIdenticalAcrossThreadsAndKernels) {
                                control::FusedSpec::Kind::kMinSnr),
             GreedyCoordinateDescent(), ControlPlaneModel::fast(), 0.05,
             rng, threads);
-        kernels::set_dispatch(before);
         return outcome.search;
     };
-    const SearchResult base = run(1, Dispatch::kScalar);
+    const SearchResult base = run(1);
     EXPECT_GT(base.evaluations, 0u);
     for (const std::size_t threads : {3u, 8u}) {
-        const SearchResult t = run(threads, Dispatch::kScalar);
+        const SearchResult t = run(threads);
         EXPECT_EQ(base.best_config, t.best_config);
         EXPECT_EQ(base.best_score, t.best_score);
         EXPECT_EQ(base.trajectory, t.trajectory);
     }
-    const SearchResult native = run(1, Dispatch::kNative);
-    EXPECT_EQ(base.best_config, native.best_config);
-    EXPECT_EQ(base.best_score, native.best_score);
 }
 
 // ----------------------------------------------------------- FFT plans
@@ -548,19 +511,16 @@ TEST(FftPlan, ProcessCacheReturnsSamePlan) {
 
 // ------------------------------------------------------- effective SNR
 
-TEST(EffectiveSnr, FusedKernelFlavorsAgreeAndTrackReference) {
+TEST(EffectiveSnr, FusedKernelTracksReference) {
     util::Rng rng(8);
     std::vector<double> snr_db(996);
     for (auto& v : snr_db) v = rng.uniform(-10.0, 40.0);
-    const double scalar = kernels::effective_snr_db(
-        Dispatch::kScalar, snr_db.data(), snr_db.size());
-    const double native = kernels::effective_snr_db(
-        Dispatch::kNative, snr_db.data(), snr_db.size());
-    EXPECT_EQ(scalar, native);  // blocked reduction, both flavors
-    EXPECT_EQ(phy::effective_snr_db(snr_db), scalar);
+    const double fused =
+        kernels::effective_snr_db(kD, snr_db.data(), snr_db.size());
+    EXPECT_EQ(phy::effective_snr_db(snr_db), fused);
     // The serial reference associates differently; agreement is to
     // rounding, not bits.
-    EXPECT_NEAR(phy::effective_snr_db_reference(snr_db), scalar, 1e-9);
+    EXPECT_NEAR(phy::effective_snr_db_reference(snr_db), fused, 1e-9);
 }
 
 }  // namespace

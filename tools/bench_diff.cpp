@@ -1,21 +1,19 @@
 // CI regression gate: diffs a fresh telemetry export against a committed
 // baseline (bench/baselines/*.json, schema press.bench_baseline/v1).
 //
-//   $ bench_diff <baseline.json> <telemetry.json> [--tolerance-pct N]
+//   $ bench_diff <baseline.json> <telemetry.json>
 //
-// Deterministic counters that drift beyond the tolerance FAIL the run
-// (exit 1); wall-clock gauges only ever WARN — they move with the host.
+// Deterministic counters that drift beyond 2% FAIL the run (exit 1);
+// wall-clock gauges only ever WARN — they move with the host.
 // Manifest identity is checked first: a press_threads/seed/scenario
 // mismatch means the runs are not comparable at all (exit 1), while a
 // build_type/compiler/sanitize mismatch softens counter failures to
-// warnings. The tolerance can also be set via the environment knob
-// PRESS_BENCH_DIFF_TOLERANCE_PCT (the flag wins when both are given).
+// warnings.
 //
 // To refresh a baseline after an intentional behavior change, pass
 // --write-baseline <out.json>: the telemetry is distilled with
 // obs::make_baseline and written instead of diffed.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -45,8 +43,7 @@ std::optional<press::obs::Json> load_json(const char* path) {
 
 int usage() {
     std::fprintf(stderr,
-                 "usage: bench_diff <baseline.json> <telemetry.json> "
-                 "[--tolerance-pct N]\n"
+                 "usage: bench_diff <baseline.json> <telemetry.json>\n"
                  "       bench_diff --write-baseline <out.json> "
                  "<telemetry.json>\n");
     return 2;
@@ -71,27 +68,14 @@ int main(int argc, char** argv) {
         return out.good() ? 0 : 1;
     }
 
-    if (argc < 3) return usage();
-    double tolerance = press::obs::diff_tolerance_from_env();
-    for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--tolerance-pct") == 0 && i + 1 < argc) {
-            char* end = nullptr;
-            tolerance = std::strtod(argv[++i], &end);
-            if (end == nullptr || *end != '\0' || tolerance < 0.0) {
-                std::fprintf(stderr, "bad --tolerance-pct value\n");
-                return 2;
-            }
-        } else {
-            return usage();
-        }
-    }
+    if (argc != 3) return usage();
 
     const auto baseline = load_json(argv[1]);
     const auto current = load_json(argv[2]);
     if (!baseline || !current) return 1;
 
     const press::obs::DiffResult result =
-        press::obs::diff_telemetry(*baseline, *current, tolerance);
+        press::obs::diff_telemetry(*baseline, *current);
     for (const std::string& w : result.warnings)
         std::printf("WARN  %s\n", w.c_str());
     for (const std::string& f : result.failures)
@@ -103,10 +87,10 @@ int main(int argc, char** argv) {
     if (!result.ok()) {
         std::printf(
             "bench_diff: %zu regression(s) beyond %.2f%% tolerance\n",
-            result.failures.size(), tolerance);
+            result.failures.size(), press::obs::kDiffTolerancePct);
         return 1;
     }
     std::printf("bench_diff: ok (%zu warning(s), tolerance %.2f%%)\n",
-                result.warnings.size(), tolerance);
+                result.warnings.size(), press::obs::kDiffTolerancePct);
     return 0;
 }

@@ -11,8 +11,8 @@
 //             header names like `flight.hpp` — must name a file that
 //             exists (repo-relative, src/-relative, or by unique path
 //             suffix). Generated artifacts (telemetry_*.json,
-//             BENCH_observe.json, flight_*.json, build/ paths) are
-//             exempt: they exist only after a run.
+//             trace_*.json, flight_*.json, build/ paths) are exempt:
+//             they exist only after a run.
 //   env vars  `PRESS_*` — must appear in a source file (src/, tools/,
 //             bench/, tests/, .github/), so a documented knob is one the
 //             code actually reads.
@@ -120,8 +120,7 @@ bool generated_artifact(const std::string& token) {
            base.rfind("telemetry_", 0) == 0 ||
            base.rfind("trace_", 0) == 0 ||
            base.rfind("flight_", 0) == 0 ||
-           base.rfind("baseline", 0) == 0 ||
-           base.rfind("BENCH_", 0) == 0;
+           base.rfind("baseline", 0) == 0;
 }
 
 bool path_resolves(const Tree& tree, const std::string& token) {
@@ -254,7 +253,8 @@ int self_test(const Tree& tree) {
         "`flight.hpp`; knob PRESS_THREADS; metric `core.link_cache.hits`\n"
         "and dynamic `control.batch.worker.0.busy_s` and wildcard\n"
         "`control.multilink.*`; run ./build/tools/bench_diff; generated\n"
-        "`BENCH_observe.json` and `build/bench/telemetry_perf_snapshot.json`.\n"
+        "`flight_service.json` and\n"
+        "`build/bench/telemetry_perf_snapshot.json`.\n"
         "Bad: `src/core/warp_drive.hpp`; knob PRESS_FLUX_CAPACITOR;\n"
         "metric `control.warp.engaged`; run ./build/tools/warp_console.\n";
     const std::vector<Reference> refs = extract("<self-test>", synthetic);
